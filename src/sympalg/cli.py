@@ -189,7 +189,7 @@ def cmd_rs_apply(args) -> int:
     else:
         try:
             denom = Fraction(args.denominator)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad denominator {args.denominator!r}") from exc
     p = _load_poly(args.input, args.n, 2)
     try:
@@ -217,7 +217,7 @@ def cmd_rs_calibrate(args) -> int:
     if args.candidates:
         try:
             candidates = [Fraction(c) for c in args.candidates.split(",")]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad candidate list {args.candidates!r}") from exc
     try:
         report = rs_calibrate(args.k, args.n, args.zmax, candidates, strict=args.strict)

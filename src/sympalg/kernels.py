@@ -3,11 +3,14 @@
 A GradedSpec fixes a multigraded polynomial component (degrees per
 vector-variable copy, optionally a spinor-degree cap zMax); joint_kernel
 computes the exact rational nullspace of the stacked operator matrices on
-that component.  Operators that shift the z degree (Dirac type) map the
-truncated domain P_(degrees) (x) P_{<=zMax}(z) into the untruncated image
-span, so every reported kernel vector is a genuine global solution; the
-truncationStable flag reports whether raising zMax by one changes any of the
-per-z-degree dimensions below zMax.
+that component with a single sparse elimination.  Operators that shift the z
+degree (Dirac type) map the truncated domain P_(degrees) (x) P_{<=zMax}(z)
+into the untruncated image span, so every reported kernel vector is a genuine
+global solution.  Columns are ordered by z degree, so the matrix at a lower
+cap is a column prefix of the one at zMax: the per-z-degree dimensions are
+read off the same elimination (each kernel vector counts at the z degree of
+its free column), and they cannot change when zMax grows, which is why the
+truncationStable flag is always true.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .poly import (
     VarId,
     copy_variables,
     mono_multidegree,
+    mono_z_degree,
     monomial_basis,
 )
 from .roots import Weight
@@ -39,6 +43,7 @@ from .weyl import (
     apply_op,
     contraction_op,
     dirac_op,
+    eigenvalue,
     laplacian_op,
     pairing_derivs_op,
 )
@@ -97,11 +102,9 @@ class GradedSpec:
                 "dimensions may disagree with the Weyl dimension formula"
             )
 
-    def domain_monomials(self, z_cap: Optional[int] = None) -> List[Monomial]:
-        """Ordered monomial basis; z degrees 0..z_cap (default self.z_max)."""
-        if z_cap is None:
-            z_cap = self.z_max
-        z_range = [0] if z_cap is None else list(range(z_cap + 1))
+    def domain_monomials(self) -> List[Monomial]:
+        """Ordered monomial basis, in blocks of z degree 0..z_max."""
+        z_range = [0] if self.z_max is None else range(self.z_max + 1)
         out: List[Monomial] = []
         for z in z_range:
             out.extend(
@@ -142,6 +145,29 @@ class OperatorMatrix:
         ]
 
 
+def _assemble(
+    ops: Sequence[WeylOp], domain: Sequence[Monomial], n: int, N: int
+) -> Tuple[List[Dict[int, Fraction]], Dict[Tuple[int, Monomial], int]]:
+    """Stacked sparse matrix of the operators on the domain monomials.
+
+    One row per (operator index, image monomial), numbered in order of first
+    appearance; the returned index maps each such key to its row.
+    """
+    row_index: Dict[Tuple[int, Monomial], int] = {}
+    rows: List[Dict[int, Fraction]] = []
+    for j, mono in enumerate(domain):
+        p = Poly(n, N, {mono: Fraction(1)})
+        for oi, op in enumerate(ops):
+            for imono, c in apply_op(op, p).terms.items():
+                key = (oi, imono)
+                i = row_index.get(key)
+                if i is None:
+                    i = row_index[key] = len(rows)
+                    rows.append({})
+                rows[i][j] = c
+    return rows, row_index
+
+
 def operator_matrix(
     A: WeylOp, domain: GradedSpec, codomain_degree: MultiDegree
 ) -> OperatorMatrix:
@@ -157,22 +183,26 @@ def operator_matrix(
     )
     index = {m: i for i, m in enumerate(codomain_basis)}
     rows: List[Dict[int, Fraction]] = [dict() for _ in codomain_basis]
-    for j, mono in enumerate(domain_basis):
-        image = apply_op(A, Poly(A.n, A.N, {mono: Fraction(1)}))
-        for imono, c in image.terms.items():
-            i = index.get(imono)
-            if i is None:
-                raise DegreeShiftMismatch(
-                    f"image term {imono} of column {mono} has multidegree "
-                    f"{mono_multidegree(imono, A.N)}, not {codomain_degree}"
-                )
-            rows[i][j] = c
+    images, image_index = _assemble([A], domain_basis, A.n, A.N)
+    for (_, imono), r in image_index.items():
+        i = index.get(imono)
+        if i is None:
+            mono = domain_basis[next(iter(images[r]))]
+            raise DegreeShiftMismatch(
+                f"image term {imono} of column {mono} has multidegree "
+                f"{mono_multidegree(imono, A.N)}, not {codomain_degree}"
+            )
+        rows[i] = images[r]
     return OperatorMatrix(rows, domain_basis, codomain_basis)
 
 
 @dataclass
 class KernelBasis:
-    """Exact basis of a joint kernel restricted to a graded component."""
+    """Exact basis of a joint kernel restricted to a graded component.
+
+    truncation_stable is always true (see joint_kernel); it stays in the
+    report as the answer to whether raising zMax changes any per-z dimension.
+    """
 
     spec: GradedSpec
     operators: List[str]
@@ -199,55 +229,21 @@ class KernelBasis:
         return data
 
 
-def _kernel_polys(
-    ops: Sequence[WeylOp],
-    spec: GradedSpec,
-    z_cap: Optional[int],
-    reverse_columns: bool = False,
-) -> List[Poly]:
-    domain = spec.domain_monomials(z_cap)
-    if not domain:
-        raise EmptyBasis(f"no monomials in {spec}")
-    if reverse_columns:
-        domain = list(reversed(domain))
-    n, N = spec.n, spec.N
-    row_index: Dict[Tuple[int, Monomial], int] = {}
-    rows: List[Dict[int, Fraction]] = []
-    for j, mono in enumerate(domain):
-        p = Poly(n, N, {mono: Fraction(1)})
-        for oi, op in enumerate(ops):
-            image = apply_op(op, p)
-            for imono, c in image.terms.items():
-                key = (oi, imono)
-                i = row_index.get(key)
-                if i is None:
-                    i = len(rows)
-                    row_index[key] = i
-                    rows.append({})
-                rows[i][j] = c
-    vecs = nullspace(rows, len(domain))
-    out = []
-    for vec in vecs:
-        terms = {m: c for m, c in zip(domain, vec) if c != 0}
-        out.append(Poly(n, N, terms))
-    return out
-
-
 def joint_kernel(
     ops: Sequence[WeylOp],
     spec: GradedSpec,
     labels: Optional[Sequence[str]] = None,
-    *,
-    check_stability: bool = True,
-    reverse_columns: bool = False,
 ) -> KernelBasis:
     """Exact joint kernel of the operators on the graded component.
 
-    For z-shifting operators the image span is never truncated, so kernel
-    vectors are global solutions.  per_z_degree_dims[t] is the dimension
-    gained when the z-degree cap grows from t-1 to t, and truncation_stable
-    records whether recomputing with z_max+1 leaves every dimension at
-    z degree <= z_max - 1 unchanged.
+    One elimination at the cap z_max gives the basis and every per-z
+    dimension.  Columns are ordered by z degree, and image rows are never
+    truncated, so the matrix at cap t is the column prefix of the matrix at
+    cap t+1 and its nullity is the number of kernel vectors whose largest
+    column (their free column) lies in a z block <= t.  per_z_degree_dims[t]
+    is the dimension gained when the cap grows from t-1 to t.  For the same
+    reason a prefix's rank, and with it every per-z dimension, cannot change
+    when z_max grows, so truncation_stable is always true.
     """
     ops = list(ops)
     for op in ops:
@@ -258,35 +254,27 @@ def joint_kernel(
     spec.check_range()
     if labels is None:
         labels = [f"op{i}" for i in range(len(ops))]
-    vectors = _kernel_polys(ops, spec, spec.z_max, reverse_columns)
+    domain = spec.domain_monomials()
+    if not domain:
+        raise EmptyBasis(f"no monomials in {spec}")
+    rows, _ = _assemble(ops, domain, spec.n, spec.N)
+    vecs = nullspace(rows, len(domain))
+    vectors = [
+        Poly(spec.n, spec.N, {domain[j]: c for j, c in vec.items()}) for vec in vecs
+    ]
     if spec.z_max is None:
         per_z = {0: len(vectors)}
-        stable = True
     else:
-        dims = []
-        for t in range(spec.z_max + 1):
-            if t == spec.z_max:
-                dims.append(len(vectors))
-            else:
-                dims.append(len(_kernel_polys(ops, spec, t)))
-        per_z = {t: dims[t] - (dims[t - 1] if t else 0) for t in range(spec.z_max + 1)}
-        stable = True
-        if check_stability:
-            wider = [len(_kernel_polys(ops, spec, t)) for t in range(spec.z_max + 2)]
-            per_z_wider = {
-                t: wider[t] - (wider[t - 1] if t else 0)
-                for t in range(spec.z_max + 2)
-            }
-            stable = all(
-                per_z_wider[t] == per_z[t] for t in range(max(spec.z_max, 0))
-            )
+        per_z = {t: 0 for t in range(spec.z_max + 1)}
+        for vec in vecs:
+            per_z[mono_z_degree(domain[max(vec)])] += 1
     return KernelBasis(
         spec=spec,
         operators=list(labels),
         vectors=vectors,
         per_z_degree_dims=per_z,
-        truncation_stable=stable,
-        ambient_dim=len(spec.domain_monomials()),
+        truncation_stable=True,
+        ambient_dim=len(domain),
     )
 
 
@@ -327,22 +315,22 @@ def monogenic_system(n: int, N: int) -> Tuple[List[WeylOp], List[str]]:
 
 
 def symplectic_harmonic_kernel(
-    n: int, N: int, degrees: Sequence[int], **kwargs
+    n: int, N: int, degrees: Sequence[int]
 ) -> KernelBasis:
     spec = GradedSpec(n, N, tuple(degrees))
     ops, labels = harmonic_system(n, N)
-    return joint_kernel(ops, spec, labels, **kwargs)
+    return joint_kernel(ops, spec, labels)
 
 
 def symplectic_monogenic_kernel(
-    n: int, N: int, degrees: Sequence[int], z_max: int, **kwargs
+    n: int, N: int, degrees: Sequence[int], z_max: int
 ) -> KernelBasis:
     spec = GradedSpec(n, N, tuple(degrees), z_max=z_max)
     ops, labels = monogenic_system(n, N)
-    return joint_kernel(ops, spec, labels, **kwargs)
+    return joint_kernel(ops, spec, labels)
 
 
-def orthogonal_harmonic_kernel(m: int, k: int, **kwargs) -> KernelBasis:
+def orthogonal_harmonic_kernel(m: int, k: int) -> KernelBasis:
     """ker Delta on P_k(R^m): the classical validation path (m = real dim)."""
     if m < 1:
         raise ValueError("need m >= 1")
@@ -350,7 +338,7 @@ def orthogonal_harmonic_kernel(m: int, k: int, **kwargs) -> KernelBasis:
     spec = GradedSpec(n, 1, (k,), num_vars=m)
     active = copy_variables(n, 1)[:m]
     op = laplacian_op(n, 1, active)
-    return joint_kernel([op], spec, ["laplacian"], **kwargs)
+    return joint_kernel([op], spec, ["laplacian"])
 
 
 def poly_space_dim(m: int, k: int) -> int:
@@ -402,21 +390,6 @@ class HwvReport:
         return data
 
 
-def _eigenvalue(op: WeylOp, p: Poly) -> Optional[Fraction]:
-    """The exact scalar c with op(p) = c p, or None if p is no eigenvector."""
-    q = apply_op(op, p)
-    if q.is_zero():
-        return Fraction(0)
-    m0, c0 = p.leading()
-    cq = q.terms.get(m0)
-    if cq is None:
-        return None
-    lam = cq / c0
-    if q == p * lam:
-        return lam
-    return None
-
-
 def hwv_verify(
     candidate: Poly,
     realization: Sequence[RealizationElement],
@@ -452,7 +425,7 @@ def hwv_verify(
     eigs: List[Fraction] = []
     cartan = [e for e in realization if e.role == CARTAN]
     for elem in cartan:
-        lam = _eigenvalue(elem.op, candidate)
+        lam = eigenvalue(elem.op, candidate)
         if lam is None:
             eigen_failures[elem.label] = apply_op(elem.op, candidate)
         else:

@@ -7,12 +7,18 @@ content 1 afterwards, which keeps entries small without ever leaving exact
 arithmetic.  Rows are processed sparsest-first and each pivot is the smallest
 column of its row, so for a fixed column order the computed kernel basis is
 deterministic.
+
+Kernel vectors are read straight off the reduced pivot rows as sparse integer
+dictionaries, never as dense rational lists.  Because every pivot is the
+smallest column of its row, the vector of free column f is supported on f and
+on pivot columns below f: f is its largest key, and the nullity of the column
+prefix M[:, :k] is the number of vectors whose largest key is below k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List
 
 Row = Dict[int, Fraction]
@@ -54,11 +60,12 @@ def _combine(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _strip_content(out)
 
 
-def nullspace(rows: List[Row], ncols: int) -> List[List[Fraction]]:
+def nullspace(rows: List[Row], ncols: int) -> List[IntRow]:
     """Exact basis of {v : M v = 0} for the sparse matrix given by ``rows``.
 
-    Returns one integer-normalized vector (content 1, first nonzero entry
-    positive) per free column, ordered by free column index.
+    Returns one sparse integer vector per free column, ordered by free column
+    index: a dict column -> int, keys ascending, with content 1 and a positive
+    entry at its lowest column.  The free column is the vector's largest key.
     """
     int_rows = [_integerize(r) for r in rows]
     int_rows = [r for r in int_rows if r]
@@ -72,56 +79,38 @@ def nullspace(rows: List[Row], ncols: int) -> List[List[Fraction]]:
                 pivots[col] = row
                 break
             row = _combine(row, piv, col)
-    # back-substitution: make pivot rows mutually reduced
-    for col in sorted(pivots, reverse=True):
+    # back-substitution: make pivot rows mutually reduced, so every entry of a
+    # pivot row other than its pivot lies in a free column
+    order = sorted(pivots)
+    for col in reversed(order):
         piv = pivots[col]
-        for col2 in sorted(pivots):
+        for col2 in order:
             if col2 >= col:
                 break
             upper = pivots[col2]
             if col in upper:
                 pivots[col2] = _combine(upper, piv, col)
-    free_cols = [j for j in range(ncols) if j not in pivots]
-    basis: List[List[Fraction]] = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for col, piv in pivots.items():
-            if f in piv:
-                vec[col] = Fraction(-piv[f], piv[col])
-        basis.append(_normalize(vec))
+    # column f of the reduced rows: v[f] = 1, v[col] = -piv[f] / piv[col];
+    # rows_at[f] lists, ascending, the pivot columns whose rows meet f
+    rows_at: Dict[int, List[int]] = {}
+    for col in order:
+        for j in pivots[col]:
+            if j != col:
+                rows_at.setdefault(j, []).append(col)
+    basis: List[IntRow] = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        cols = rows_at.get(f, [])
+        # scale is the least common denominator of the entries, so the
+        # content is 1 already; only the sign of the lowest entry is left
+        scale = 1
+        for col in cols:
+            a = pivots[col][col]
+            scale = lcm(scale, a // gcd(a, pivots[col][f]))
+        vec = {col: -pivots[col][f] * scale // pivots[col][col] for col in cols}
+        vec[f] = scale
+        if cols and vec[cols[0]] < 0:
+            vec = {j: -v for j, v in vec.items()}
+        basis.append(vec)
     return basis
-
-
-def _normalize(vec: List[Fraction]) -> List[Fraction]:
-    denom = 1
-    for c in vec:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return [Fraction(v) for v in ints]
-
-
-def rank(rows: List[Row]) -> int:
-    int_rows = [_integerize(r) for r in rows]
-    int_rows = [r for r in int_rows if r]
-    int_rows.sort(key=lambda r: (len(r), sorted(r)))
-    pivots: Dict[int, IntRow] = {}
-    for row in int_rows:
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                pivots[col] = row
-                break
-            row = _combine(row, piv, col)
-    return len(pivots)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class UniverseMismatch(ValueError):
@@ -443,22 +443,6 @@ class Poly:
         return out
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def partial(p: Poly, v) -> Poly:
-    return p.partial(v)
-
-
-def homogeneous_component(p: Poly, d: MultiDegree) -> Poly:
-    return p.homogeneous_component(d)
-
-
 # ---------------------------------------------------------------------------
 # Monomial bases of graded components
 # ---------------------------------------------------------------------------
@@ -621,18 +605,27 @@ def parse_poly(text: str, n: int, N: int) -> Poly:
     return Poly(n, N, out)
 
 
-def poly_from_json(data: Iterable[dict], n: int, N: int) -> Poly:
+def poly_from_json(data: List[dict], n: int, N: int) -> Poly:
+    """Read a term list ``[{"coef": "3/2", "exps": {"x1.1": 2}}, ...]``."""
+    if not isinstance(data, list):
+        raise PolyParseError(f"polynomial JSON must be a term list, not {data!r}")
     out: Dict[Monomial, Fraction] = {}
     for entry in data:
         try:
             coef = Fraction(entry["coef"])
             exps = entry.get("exps", {})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad polynomial JSON entry {entry!r}") from exc
+        if not isinstance(exps, dict):
+            raise PolyParseError(f'"exps" must map variables to exponents in {entry!r}')
         mult: Dict[VarId, int] = {}
         for name, e in exps.items():
             var, _ = parse_var(name, n, N)
-            mult[var] = mult.get(var, 0) + int(e)
+            try:
+                e = int(e)
+            except (TypeError, ValueError) as exc:
+                raise PolyParseError(f"bad exponent {e!r} in {entry!r}") from exc
+            mult[var] = mult.get(var, 0) + e
         m = mono_from_dict(mult)
         out[m] = out.get(m, Fraction(0)) + coef
     return Poly(n, N, out)

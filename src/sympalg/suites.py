@@ -160,6 +160,8 @@ def suite_parafermion(N: int, n: int) -> SuiteReport:
     [[X_a,X_b],X_c] = 0 (the all-plus triple bracket vanishes, mirroring
     [[D_a,D_b],D_c] = 0).
     """
+    if N < 1:
+        raise ValueError(f"parafermion suite needs N >= 1, got N={N}")
     rep = SuiteReport("parafermion", {"N": N, "n": n})
     D = {a: dirac_op(n, N, a) for a in range(1, N + 1)}
     X = {a: dirac_adjoint_op(n, N, a) for a in range(1, N + 1)}

@@ -14,8 +14,6 @@ and raises instead of returning wrong output.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -30,6 +28,7 @@ from .weyl import (
     contraction_op,
     dirac_adjoint_op,
     dirac_op,
+    eigenvalue,
     pairing_derivs_op,
 )
 
@@ -88,16 +87,10 @@ def h_eigenvalue(triple: Sl2Triple, p: Poly) -> Fraction:
     """Exact H-eigenvalue of p; raises NotHomogeneous otherwise."""
     if p.is_zero():
         raise NotHomogeneous("zero polynomial has no eigenvalue")
-    q = apply_op(triple.H, p)
-    if q.is_zero():
-        return Fraction(0)
-    m0, c0 = p.leading()
-    cq = q.terms.get(m0)
-    if cq is not None:
-        lam = cq / c0
-        if q == p * lam:
-            return lam
-    raise NotHomogeneous("input is not an H-eigenvector")
+    lam = eigenvalue(triple.H, p)
+    if lam is None:
+        raise NotHomogeneous("input is not an H-eigenvector")
+    return lam
 
 
 @dataclass
@@ -244,13 +237,6 @@ def default_candidates(k: int, n: int) -> List[Fraction]:
     return out
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SYMPALG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def rs_calibrate(
     k: int,
     n: int,
@@ -285,8 +271,7 @@ def rs_calibrate(
         spec = GradedSpec(
             n, 2, (ell, k), z_max=z_max, allow_non_dominant=True, allow_wide=True
         )
-        kb = joint_kernel(domain_ops, spec, domain_labels, check_stability=False)
-        bases[ell] = kb.vectors
+        bases[ell] = joint_kernel(domain_ops, spec, domain_labels).vectors
     total = sum(len(v) for v in bases.values())
     if total == 0:
         raise EmptyBasis(
@@ -303,22 +288,18 @@ def rs_calibrate(
             du_corr = apply_op(dsu, apply_op(xsu, du_g))
             pieces.append((f"x-degree {ell}, basis vector {i}", du_g, du_corr))
 
-    def test(candidate: Fraction) -> Tuple[Fraction, List[str]]:
-        bad = []
-        for label, du_g, du_corr in pieces:
-            residual = du_g + du_corr * (Fraction(2) / candidate)
-            if not residual.is_zero():
-                bad.append(label)
-        return candidate, bad
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(test, candidates))
-    else:
-        results = [test(c) for c in candidates]
-    working = [c for c, bad in results if not bad]
-    failures = {str(c): bad for c, bad in results if bad}
+    working: List[Fraction] = []
+    failures: Dict[str, List[str]] = {}
+    for candidate in candidates:
+        bad = [
+            label
+            for label, du_g, du_corr in pieces
+            if not (du_g + du_corr * (Fraction(2) / candidate)).is_zero()
+        ]
+        if bad:
+            failures[str(candidate)] = bad
+        else:
+            working.append(candidate)
     stated = Fraction(k + n + 2)
     return CalibrationReport(
         k=k,

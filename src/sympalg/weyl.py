@@ -294,6 +294,22 @@ def apply_op(A: WeylOp, p: Poly) -> Poly:
     return Poly(p.n, p.N, out)
 
 
+def eigenvalue(op: WeylOp, p: Poly) -> Optional[Fraction]:
+    """The exact scalar c with op(p) = c p, or None if p is no eigenvector.
+
+    The zero polynomial is an eigenvector of every operator, with c = 0.
+    """
+    q = apply_op(op, p)
+    if q.is_zero():
+        return Fraction(0)
+    m0, c0 = p.leading()
+    cq = q.terms.get(m0)
+    if cq is None:
+        return None
+    lam = cq / c0
+    return lam if q == p * lam else None
+
+
 # ---------------------------------------------------------------------------
 # Named operators
 # ---------------------------------------------------------------------------

@@ -26,22 +26,31 @@ def random_poly(rng, n=2, N=2, terms=4, deg=3):
     return p
 
 
-def dense_kernel_dim(ops, domain_monos, n, N):
-    """Brute-force nullity of the stacked operator matrices."""
-    col_of = {m: j for j, m in enumerate(domain_monos)}
+def stacked_rows(ops, domain_monos, n, N):
+    """Sparse rows {column: coefficient} of the stacked operator matrices,
+    one per (operator, image monomial)."""
     rows = []
     row_of_image = {}
     for j, mono in enumerate(domain_monos):
         p = Poly(n, N, {mono: Fraction(1)})
         for oi, op in enumerate(ops):
-            image = apply_op(op, p)
-            for imono, c in image.terms.items():
+            for imono, c in apply_op(op, p).terms.items():
                 key = (oi, imono)
                 if key not in row_of_image:
                     row_of_image[key] = len(rows)
-                    rows.append([Fraction(0)] * len(domain_monos))
+                    rows.append({})
                 rows[row_of_image[key]][j] = c
-    return len(domain_monos) - dense_rank(rows)
+    return rows
+
+
+def dense_kernel_dim(ops, domain_monos, n, N):
+    """Brute-force nullity of the stacked operator matrices."""
+    ncols = len(domain_monos)
+    rows = [
+        [row.get(j, Fraction(0)) for j in range(ncols)]
+        for row in stacked_rows(ops, domain_monos, n, N)
+    ]
+    return ncols - dense_rank(rows)
 
 
 def dense_rank(rows):

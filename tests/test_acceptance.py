@@ -109,7 +109,7 @@ def test_criterion_03_scalar_model_grid():
     ok = True
     for n in (2, 3, 4):
         for l1, l2 in dominant_pairs(4):
-            kb = symplectic_harmonic_kernel(n, 2, (l1, l2), check_stability=False)
+            kb = symplectic_harmonic_kernel(n, 2, (l1, l2))
             expect = weyl_dim(Weight.from_partition([l1, l2], n))
             if kb.dimension != expect:
                 ok = False
@@ -219,7 +219,7 @@ def test_criterion_07_extremal_projector():
     dsx = dirac_op(n, 2, 1)
     for uv in range(1, 5):
         spec = GradedSpec(n, 2, (1, uv), z_max=2, allow_non_dominant=True)
-        kb = joint_kernel([dirac_op(n, 2, 2)], spec, ["D_s,u"], check_stability=False)
+        kb = joint_kernel([dirac_op(n, 2, 2)], spec, ["D_s,u"])
         for vec in kb.vectors[:6]:
             rep = extremal_project(triple, vec)
             if rep.output != vec or rep.terms_used != 0:
@@ -271,7 +271,7 @@ def test_criterion_08_rarita_schwinger_preservation():
         denom = rep.working_denominators[0]
         for ell in rep.x_degrees:
             spec = GradedSpec(n, 2, (ell, k), z_max=zmax, allow_non_dominant=True)
-            kb = joint_kernel([dsu], spec, ["D_s,u"], check_stability=False)
+            kb = joint_kernel([dsu], spec, ["D_s,u"])
             for f in kb.vectors:
                 if not apply_op(dsu, rs_apply(f, k, n, denom)).is_zero():
                     ok = False
@@ -318,7 +318,11 @@ def test_criterion_10_truncation_stability():
     for n in (1, 2):
         for k in range(0, 3):
             kb = symplectic_monogenic_kernel(n, 1, (k,), z_max=3)
-            if not kb.truncation_stable:
+            wider = symplectic_monogenic_kernel(n, 1, (k,), z_max=4)
+            if any(
+                kb.per_z_degree_dims[t] != wider.per_z_degree_dims[t]
+                for t in range(3)
+            ):
                 ok = False
             details.append(
                 f"n={n},k={k}: {dict(sorted(kb.per_z_degree_dims.items()))}"

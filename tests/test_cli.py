@@ -108,6 +108,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nope", "--n", "1")
         assert code == EXIT_INVALID
 
+    def test_parafermion_zero_copies_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--suite", "parafermion", "--n", "2", "--N", "0"
+        )
+        assert code == EXIT_INVALID
+        assert "N >= 1" in err
+
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         from sympalg import suites
 
@@ -194,6 +201,30 @@ class TestProjectAndRs:
         )
         data = json.loads(out)
         assert data["workingDenominators"] == ["4"]
+
+    def test_zero_denominator_coef_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([{"coef": "1/0", "exps": {"x2.1": 1}}]))
+        code, _, err = run(capsys, "project", "--n", "2", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert "bad polynomial JSON entry" in err
+
+    def test_exps_list_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([{"coef": "1", "exps": ["x2.1"]}]))
+        code, _, err = run(capsys, "project", "--n", "2", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert '"exps"' in err
+
+    def test_rs_apply_zero_denominator_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("x2.1")
+        code, _, err = run(
+            capsys, "rs-apply", "--k", "1", "--n", "2", "--input", str(path),
+            "--denominator", "1/0",
+        )
+        assert code == EXIT_INVALID
+        assert "bad denominator" in err
 
     def test_missing_input_exits_2(self, capsys):
         code, _, _ = run(

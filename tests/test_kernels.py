@@ -1,11 +1,13 @@
 """Joint kernels, operator matrices, HWV verification, Fischer sanity."""
 
+import random
 import warnings
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from helpers import dense_kernel_dim
+from helpers import dense_kernel_dim, dense_rank, stacked_rows
 from sympalg.kernels import (
     DegreeShiftMismatch,
     GradedSpec,
@@ -14,12 +16,14 @@ from sympalg.kernels import (
     harmonic_system,
     hwv_verify,
     joint_kernel,
+    monogenic_system,
     operator_matrix,
     orthogonal_harmonic_kernel,
     poly_space_dim,
     symplectic_harmonic_kernel,
     symplectic_monogenic_kernel,
 )
+from sympalg.linalg import nullspace
 from sympalg.poly import MultiDegree, Poly, VarId, copy_variables, parse_poly
 from sympalg.roots import Weight, weyl_dim
 from sympalg.tensor import cartan_product
@@ -130,7 +134,7 @@ class TestJointKernel:
         assert rep.cartan_eigenvalues == Weight.parse("1,1,1", n)
 
     def test_monogenic_k0_all_z_survives(self):
-        kb = symplectic_monogenic_kernel(1, 1, (0,), z_max=3, check_stability=False)
+        kb = symplectic_monogenic_kernel(1, 1, (0,), z_max=3)
         assert kb.per_z_degree_dims == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_operator_permutation_invariance(self):
@@ -141,13 +145,32 @@ class TestJointKernel:
         d2 = joint_kernel(list(reversed(ops)), spec).dimension
         assert d1 == d2
 
-    def test_column_order_invariance(self):
+    def test_column_permutation_invariance(self):
         n = 2
         spec = GradedSpec(n, 2, (2, 1))
         ops, _ = harmonic_system(n, 2)
-        d1 = joint_kernel(ops, spec).dimension
-        d2 = joint_kernel(ops, spec, reverse_columns=True).dimension
-        assert d1 == d2
+        domain = spec.domain_monomials()
+        rows = stacked_rows(ops, domain, n, 2)
+        dim = joint_kernel(ops, spec).dimension
+        rng = random.Random(7)
+        for _ in range(3):
+            perm = list(range(len(domain)))
+            rng.shuffle(perm)
+            permuted = [{perm[j]: c for j, c in row.items()} for row in rows]
+            assert len(nullspace(permuted, len(domain))) == dim
+
+    @pytest.mark.parametrize(
+        "n,N,degrees,z_max", [(1, 1, (0,), 3), (1, 1, (2,), 3), (2, 1, (1,), 3), (2, 2, (1, 0), 2)]
+    )
+    def test_per_z_dims_match_dense_prefixes(self, n, N, degrees, z_max):
+        # one elimination at z_max against an independent dense elimination
+        # at every cap t <= z_max
+        kb = symplectic_monogenic_kernel(n, N, degrees, z_max)
+        ops, _ = monogenic_system(n, N)
+        for t in range(z_max + 1):
+            prefix = GradedSpec(n, N, degrees, z_max=t).domain_monomials()
+            expect = dense_kernel_dim(ops, prefix, n, N)
+            assert sum(kb.per_z_degree_dims[s] for s in range(t + 1)) == expect
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -163,6 +186,46 @@ class TestJointKernel:
         kb = symplectic_monogenic_kernel(1, 1, (1,), z_max=3)
         assert kb.truncation_stable
         assert sum(kb.per_z_degree_dims.values()) == kb.dimension
+
+
+def random_sparse_rows(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for _ in range(rng.randint(0, 4)):
+            row[rng.randrange(ncols)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        rows.append(row)
+    return rows
+
+
+class TestNullspace:
+    def test_nullity_against_dense_rank(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            ncols = rng.randint(1, 9)
+            rows = random_sparse_rows(rng, rng.randint(0, 8), ncols)
+            dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+            vecs = nullspace(rows, ncols)
+            assert len(vecs) == ncols - dense_rank(dense)
+            for vec in vecs:
+                for row in rows:
+                    assert sum(c * vec.get(j, 0) for j, c in row.items()) == 0
+
+    def test_vector_normal_form(self):
+        # integer entries, content 1, positive at the lowest column, and the
+        # free column (one per vector, ascending) is the largest key
+        rng = random.Random(12)
+        for _ in range(200):
+            ncols = rng.randint(1, 9)
+            vecs = nullspace(random_sparse_rows(rng, rng.randint(0, 8), ncols), ncols)
+            free = [max(vec) for vec in vecs]
+            assert free == sorted(set(free))
+            for vec in vecs:
+                assert list(vec) == sorted(vec)
+                assert all(isinstance(c, int) and c for c in vec.values())
+                assert vec[min(vec)] > 0
+                assert gcd(*vec.values()) == 1
+                assert all(max(other) not in vec for other in vecs if other is not vec)
 
 
 class TestFischer:

@@ -19,6 +19,7 @@ from sympalg.weyl import (
     contraction_op,
     dirac_adjoint_op,
     dirac_op,
+    eigenvalue,
     euler_op,
     laplacian_op,
     lie_closure,
@@ -154,6 +155,16 @@ class TestApply:
         x11 = next(e.op for e in real if e.label == "X_11")
         p = Poly.var(n, 1, "x1.1") ** k
         assert apply_op(x11, p) == p * (Fraction(k) - Fraction(1, 2))
+
+
+    def test_eigenvalue(self):
+        # Euler operators read off the degree; a mixed-degree sum has none
+        E = euler_op(2, 1, 1)
+        x = Poly.var(2, 1, "x1.1")
+        assert eigenvalue(E, x**3) == 3
+        assert eigenvalue(E, Poly.const(2, 1, 5)) == 0
+        assert eigenvalue(E, Poly.zero(2, 1)) == 0
+        assert eigenvalue(E, x + x**2) is None
 
 
 class TestNamedOperators:
