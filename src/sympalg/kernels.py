@@ -31,8 +31,10 @@ from .poly import (
     VarId,
     copy_variables,
     mono_multidegree,
+    mono_str,
     mono_z_degree,
     monomial_basis,
+    var_names,
 )
 from .roots import Weight
 from .weyl import (
@@ -187,10 +189,12 @@ def operator_matrix(
     for (_, imono), r in image_index.items():
         i = index.get(imono)
         if i is None:
+            names = var_names(A.n, A.N)
             mono = domain_basis[next(iter(images[r]))]
             raise DegreeShiftMismatch(
-                f"image term {imono} of column {mono} has multidegree "
-                f"{mono_multidegree(imono, A.N)}, not {codomain_degree}"
+                f"image term {mono_str(imono, names)} of column "
+                f"{mono_str(mono, names)} has multidegree "
+                f"{mono_multidegree(imono, A.n, A.N)}, not {codomain_degree}"
             )
         rows[i] = images[r]
     return OperatorMatrix(rows, domain_basis, codomain_basis)
@@ -267,7 +271,7 @@ def joint_kernel(
     else:
         per_z = {t: 0 for t in range(spec.z_max + 1)}
         for vec in vecs:
-            per_z[mono_z_degree(domain[max(vec)])] += 1
+            per_z[mono_z_degree(domain[max(vec)], spec.n, spec.N)] += 1
     return KernelBasis(
         spec=spec,
         operators=list(labels),

@@ -6,11 +6,17 @@ vector-variable copies ``N``.  Copy ``a`` (1-based) carries the 2n coordinates
 ``n`` spinor variables ``z<i>`` shared by all copies.  All coefficients are
 `fractions.Fraction`, so every operation is exact and equality is structural.
 
-Term order: variables are ordered with the z family last, then by copy, then
-by index, with x before y at equal (copy, index).  Monomials are compared by
-the lexicographic order induced on their sparse (variable, exponent) lists
-with larger exponents of earlier variables first; this fixed order is what
-makes bases and matrices reproducible.
+Term order: variables are ordered copy by copy, by index within a copy, with
+x before y at equal (copy, index), and the z family last.  A variable is
+stored as its rank, its position in that order (see ``variables``); a
+`VarId` names it only at the parse and print boundary.  Monomials are
+compared by the lexicographic order induced on their sparse (rank, exponent)
+lists with larger exponents of earlier variables first; this fixed order is
+what makes bases and matrices reproducible.
+
+`Terms` is the sparse-term core shared with the Weyl-algebra operators:
+construction, equality, hashing, the vector-space operations and printing
+are defined there once.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class UniverseMismatch(ValueError):
@@ -34,8 +41,6 @@ class PolyParseError(ValueError):
 # Variables
 # ---------------------------------------------------------------------------
 
-_FAMILY_RANK = {"x": 0, "y": 1, "z": 2}
-
 
 @dataclass(frozen=True)
 class VarId:
@@ -46,18 +51,12 @@ class VarId:
     index: int
 
     def __post_init__(self):
-        if self.family not in _FAMILY_RANK:
+        if self.family not in ("x", "y", "z"):
             raise ValueError(f"unknown variable family {self.family!r}")
         if (self.family == "z") != (self.copy is None):
             raise ValueError("z variables carry no copy; x/y variables need one")
         if self.index < 1 or (self.copy is not None and self.copy < 1):
             raise ValueError("copy and index are 1-based")
-
-    @property
-    def sort_key(self) -> Tuple[int, int, int, int]:
-        if self.family == "z":
-            return (1, 0, self.index, 2)
-        return (0, self.copy, self.index, _FAMILY_RANK[self.family])
 
     def __str__(self) -> str:
         if self.family == "z":
@@ -68,6 +67,14 @@ class VarId:
         if self.index > n:
             return False
         return self.copy is None or self.copy <= N
+
+    def rank(self, n: int, N: int) -> int:
+        """The position of this variable in variables(n, N)."""
+        if not self.in_universe(n, N):
+            raise UniverseMismatch(f"{self} outside the (n={n}, N={N}) universe")
+        if self.family == "z":
+            return 2 * n * N + self.index - 1
+        return 2 * n * (self.copy - 1) + 2 * (self.index - 1) + (self.family == "y")
 
 
 _VAR_RE = re.compile(r"^(d?)([xyz])(\d+)(?:\.(\d+))?$")
@@ -108,12 +115,11 @@ def parse_var(name: str, n: int, N: int, *, allow_deriv: bool = False):
 
 
 def variables(n: int, N: int) -> List[VarId]:
-    """All universe variables in the fixed term order."""
+    """All universe variables in the fixed term order; a variable's rank is
+    its position in this list."""
     out = []
     for a in range(1, N + 1):
-        for i in range(1, n + 1):
-            out.append(VarId("x", a, i))
-            out.append(VarId("y", a, i))
+        out.extend(copy_variables(n, a))
     out.extend(VarId("z", None, i) for i in range(1, n + 1))
     return out
 
@@ -127,26 +133,28 @@ def copy_variables(n: int, a: int) -> List[VarId]:
     return out
 
 
-def z_variables(n: int) -> List[VarId]:
-    return [VarId("z", None, i) for i in range(1, n + 1)]
+@lru_cache(maxsize=None)
+def var_names(n: int, N: int) -> Tuple[str, ...]:
+    """The printed name of every variable, indexed by rank."""
+    return tuple(str(v) for v in variables(n, N))
 
 
 # ---------------------------------------------------------------------------
-# Monomials: canonical sorted tuples of (VarId, positive exponent)
+# Monomials: sorted tuples of (variable rank, positive exponent).  The ranks
+# of copy a (1-based) fill block a-1 of width 2n; the z ranks fill block N.
 # ---------------------------------------------------------------------------
 
-Monomial = Tuple[Tuple[VarId, int], ...]
+Monomial = Tuple[Tuple[int, int], ...]
 
 ONE: Monomial = ()
 
 
-def mono_from_dict(exps: Dict[VarId, int]) -> Monomial:
-    items = [(v, e) for v, e in exps.items() if e != 0]
-    for v, e in items:
+def mono_from_dict(exps: Dict[int, int]) -> Monomial:
+    """The monomial with the given rank -> exponent map (zeros dropped)."""
+    for r, e in exps.items():
         if e < 0:
-            raise ValueError(f"negative exponent for {v}")
-    items.sort(key=lambda ve: ve[0].sort_key)
-    return tuple(items)
+            raise ValueError(f"negative exponent {e} for variable rank {r}")
+    return tuple(sorted((r, e) for r, e in exps.items() if e))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -155,36 +163,30 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not b:
         return a
     exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return mono_from_dict(exps)
+    for r, e in b:
+        exps[r] = exps.get(r, 0) + e
+    return tuple(sorted(exps.items()))
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def mono_z_degree(m: Monomial, n: int, N: int) -> int:
+    return sum(e for r, e in m if r >= 2 * n * N)
 
 
-def mono_z_degree(m: Monomial) -> int:
-    return sum(e for v, e in m if v.family == "z")
-
-
-def mono_copy_degree(m: Monomial, a: int) -> int:
-    return sum(e for v, e in m if v.copy == a)
+def mono_copy_degree(m: Monomial, n: int, a: int) -> int:
+    return sum(e for r, e in m if r // (2 * n) == a - 1)
 
 
 def mono_sort_key(m: Monomial):
-    # Lex order on the sparse (variable, exponent) list; negated exponents put
+    # Lex order on the sparse (rank, exponent) list; negated exponents put
     # higher powers of earlier variables first (x^2 before x*y before y^2).
-    return tuple((v.sort_key, -e) for v, e in m)
+    return tuple((r, -e) for r, e in m)
 
 
-def mono_str(m: Monomial) -> str:
+def mono_str(m: Monomial, names: Sequence[str]) -> str:
+    """Print m with the universe's name table (see var_names)."""
     if not m:
         return "1"
-    parts = []
-    for v, e in m:
-        parts.append(str(v) if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
+    return "*".join(names[r] if e == 1 else f"{names[r]}^{e}" for r, e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +210,15 @@ class MultiDegree:
         return len(self.per_copy)
 
 
-def mono_multidegree(m: Monomial, N: int) -> MultiDegree:
-    per_copy = [0] * N
-    z = 0
-    for v, e in m:
-        if v.family == "z":
-            z += e
-        else:
-            per_copy[v.copy - 1] += e
-    return MultiDegree(tuple(per_copy), z)
+def mono_multidegree(m: Monomial, n: int, N: int) -> MultiDegree:
+    blocks = [0] * (N + 1)
+    for r, e in m:
+        blocks[r // (2 * n)] += e
+    return MultiDegree(tuple(blocks[:N]), blocks[N])
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# The sparse-term core and polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -234,45 +232,39 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"not an exact rational: {c!r}")
 
 
-class Poly:
-    """A sparse exact polynomial over the (n, N) universe.
+class Terms:
+    """A sparse exact linear combination of keys over the (n, N) universe.
 
-    Values are immutable after construction; all arithmetic returns new
-    objects, so instances are safe to share across threads.
+    A subclass fixes the key type: its constant key ``_one``, the order
+    ``sort_key`` and the printer ``key_str(key, names)`` of its keys, and
+    its product ``_product``.  Values are immutable after construction; all
+    arithmetic returns new objects, so instances are safe to share.
     """
 
     __slots__ = ("n", "N", "terms")
 
-    def __init__(self, n: int, N: int, terms: Optional[Dict[Monomial, Fraction]] = None):
+    _one = ONE
+
+    def __init__(self, n: int, N: int, terms: Optional[Dict] = None):
         if n < 1 or N < 1:
             raise ValueError("need n >= 1 and N >= 1")
         self.n = n
         self.N = N
-        clean: Dict[Monomial, Fraction] = {}
+        clean = {}
         if terms:
-            for m, c in terms.items():
+            for key, c in terms.items():
                 c = _as_fraction(c)
                 if c != 0:
-                    clean[m] = c
+                    clean[key] = c
         self.terms = clean
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
-    def zero(cls, n: int, N: int) -> "Poly":
+    def zero(cls, n: int, N: int):
         return cls(n, N)
 
     @classmethod
-    def const(cls, n: int, N: int, c) -> "Poly":
-        return cls(n, N, {ONE: _as_fraction(c)})
-
-    @classmethod
-    def var(cls, n: int, N: int, v) -> "Poly":
-        if isinstance(v, str):
-            v, _ = parse_var(v, n, N)
-        if not v.in_universe(n, N):
-            raise UniverseMismatch(f"{v} outside the (n={n}, N={N}) universe")
-        return cls(n, N, {((v, 1),): Fraction(1)})
+    def const(cls, n: int, N: int, c):
+        return cls(n, N, {cls._one: c})
 
     # -- basic protocol -----------------------------------------------------
 
@@ -283,43 +275,41 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.n == other.n and self.N == other.N and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == Poly.const(self.n, self.N, other)
-        return NotImplemented
+            other = self.const(self.n, self.N, other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.N == other.N and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, self.N, frozenset(self.terms.items())))
 
-    def _check(self, other: "Poly"):
+    def _check(self, other: "Terms"):
         if self.n != other.n or self.N != other.N:
             raise UniverseMismatch(
                 f"(n={self.n}, N={self.N}) vs (n={other.n}, N={other.N})"
             )
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- vector-space operations and the product -----------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, self.N, other)
-        if not isinstance(other, Poly):
+            other = self.const(self.n, self.N, other)
+        elif type(other) is not type(self):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.n, self.N, out)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return type(self)(self.n, self.N, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n, self.N, {m: -c for m, c in self.terms.items()})
+        return type(self)(self.n, self.N, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, self.N, other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, (int, Fraction)) and type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
@@ -328,19 +318,63 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Poly(self.n, self.N, {m: c * v for m, v in self.terms.items()})
-        if not isinstance(other, Poly):
+            return type(self)(self.n, self.N, {k: other * c for k, c in self.terms.items()})
+        if type(other) is not type(self):
             return NotImplemented
         self._check(other)
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    # -- views ----------------------------------------------------------------
+
+    def items_sorted(self) -> List[Tuple[object, Fraction]]:
+        return sorted(self.terms.items(), key=lambda kc: self.sort_key(kc[0]))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        names = var_names(self.n, self.N)
+        text = ""
+        for key, c in self.items_sorted():
+            body, size = self.key_str(key, names), abs(c)
+            if body == "1":
+                body = str(size)
+            elif size != 1:
+                body = f"{size}*{body}"
+            if not text:
+                text = "-" + body if c < 0 else body
+            else:
+                text += f" - {body}" if c < 0 else f" + {body}"
+        return text
+
+    __repr__ = __str__
+
+
+class Poly(Terms):
+    """A sparse exact polynomial over the (n, N) universe, keyed by monomials."""
+
+    __slots__ = ()
+
+    sort_key = staticmethod(mono_sort_key)
+    key_str = staticmethod(mono_str)
+
+    @classmethod
+    def var(cls, n: int, N: int, v) -> "Poly":
+        if isinstance(v, str):
+            v, _ = parse_var(v, n, N)
+        return cls(n, N, {((v.rank(n, N), 1),): 1})
+
+    def _product(self, other: "Poly") -> "Poly":
         out: Dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
+                out[m] = out.get(m, 0) + ca * cb
         return Poly(self.n, self.N, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
@@ -356,18 +390,16 @@ class Poly:
         """Exact formal partial derivative with respect to v."""
         if isinstance(v, str):
             v, _ = parse_var(v, self.n, self.N)
+        r = v.rank(self.n, self.N)
         out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             exps = dict(m)
-            e = exps.get(v, 0)
+            e = exps.get(r, 0)
             if e == 0:
                 continue
-            if e == 1:
-                del exps[v]
-            else:
-                exps[v] = e - 1
+            exps[r] = e - 1
             mm = mono_from_dict(exps)
-            out[mm] = out.get(mm, Fraction(0)) + c * e
+            out[mm] = out.get(mm, 0) + c * e
         return Poly(self.n, self.N, out)
 
     def homogeneous_component(self, d: MultiDegree) -> "Poly":
@@ -377,70 +409,41 @@ class Poly:
         out = {
             m: c
             for m, c in self.terms.items()
-            if mono_multidegree(m, self.N) == d
+            if mono_multidegree(m, self.n, self.N) == d
         }
         return Poly(self.n, self.N, out)
 
     def multidegree(self) -> Optional[MultiDegree]:
         """The common multidegree of all terms, or None if mixed or zero."""
-        degs = {mono_multidegree(m, self.N) for m in self.terms}
+        degs = {mono_multidegree(m, self.n, self.N) for m in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def occurring_multidegrees(self) -> List[MultiDegree]:
-        degs = {mono_multidegree(m, self.N) for m in self.terms}
+        degs = {mono_multidegree(m, self.n, self.N) for m in self.terms}
         return sorted(degs, key=lambda d: (d.per_copy, d.z_degree))
 
     def copy_degree_of_terms(self, a: int) -> Optional[int]:
         """Degree in copy a if uniform over all terms, else None."""
-        degs = {mono_copy_degree(m, a) for m in self.terms}
+        degs = {mono_copy_degree(m, self.n, a) for m in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
-    def max_z_degree(self) -> int:
-        return max((mono_z_degree(m) for m in self.terms), default=0)
-
     # -- views ----------------------------------------------------------------
-
-    def items_sorted(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda mc: mono_sort_key(mc[0]))
 
     def leading(self) -> Tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.items_sorted()[0]
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.items_sorted():
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if not m:
-                body = str(c)
-            elif c == 1:
-                body = mono_str(m)
-            else:
-                body = f"{c}*{mono_str(m)}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    __repr__ = __str__
-
-    # -- serialization --------------------------------------------------------
-
     def to_json(self) -> List[dict]:
-        out = []
-        for m, c in self.items_sorted():
-            out.append({"coef": str(c), "exps": {str(v): e for v, e in m}})
-        return out
+        names = var_names(self.n, self.N)
+        return [
+            {"coef": str(c), "exps": {names[r]: e for r, e in m}}
+            for m, c in self.items_sorted()
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +465,13 @@ def _compositions(total: int, slots: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-def monos_of_degree(vars_: List[VarId], degree: int) -> List[Monomial]:
-    """All monomials in the given variables of exact total degree."""
-    out = []
-    for exps in _compositions(degree, len(vars_)):
-        out.append(mono_from_dict({v: e for v, e in zip(vars_, exps) if e}))
-    return out
+def monos_of_degree(ranks: Sequence[int], degree: int) -> List[Monomial]:
+    """All monomials of exact total degree in the variables of the given
+    increasing ranks."""
+    return [
+        tuple((r, e) for r, e in zip(ranks, exps) if e)
+        for exps in _compositions(degree, len(ranks))
+    ]
 
 
 def monomial_basis(
@@ -485,17 +489,19 @@ def monomial_basis(
             raise ValueError("num_vars restriction only supported for N=1")
         if not 1 <= num_vars <= 2 * n:
             raise ValueError(f"num_vars must lie in 1..{2*n}")
+    width = 2 * n
     factors: List[List[Monomial]] = []
-    for a in range(1, N + 1):
-        vars_a = copy_variables(n, a)
-        if num_vars is not None and a == 1:
-            vars_a = vars_a[:num_vars]
-        factors.append(monos_of_degree(vars_a, d.per_copy[a - 1]))
+    for a in range(N):
+        ranks = range(a * width, (a + 1) * width)
+        if num_vars is not None:
+            ranks = ranks[:num_vars]
+        factors.append(monos_of_degree(ranks, d.per_copy[a]))
     if d.z_degree:
-        factors.append(monos_of_degree(z_variables(n), d.z_degree))
+        factors.append(monos_of_degree(range(N * width, N * width + n), d.z_degree))
+    # the factors hold increasing rank blocks, so concatenation stays sorted
     basis = [ONE]
     for fac in factors:
-        basis = [mono_mul(m, f) for m in basis for f in fac]
+        basis = [m + f for m in basis for f in fac]
     basis.sort(key=mono_sort_key)
     return basis
 
@@ -535,8 +541,9 @@ def _tokenize(text: str) -> List[str]:
 def parse_terms(text: str, n: int, N: int, *, allow_deriv: bool = False):
     """Parse the polynomial/operator text grammar.
 
-    Yields (coef, mult_exps, deriv_exps) triples, one per textual term.
-    Plain polynomial inputs always have empty deriv_exps.
+    Returns (coef, mult_exps, deriv_exps) triples, one per textual term, with
+    the exponent maps keyed by variable rank.  Plain polynomial inputs always
+    have empty deriv_exps.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -552,15 +559,17 @@ def parse_terms(text: str, n: int, N: int, *, allow_deriv: bool = False):
         if i >= len(tokens):
             raise PolyParseError("dangling sign at end of input")
         coef = sign
-        mult: Dict[VarId, int] = {}
-        deriv: Dict[VarId, int] = {}
+        mult: Dict[int, int] = {}
+        deriv: Dict[int, int] = {}
+        # a term is atoms joined by single '*'s: it starts and ends on an atom
         expect_atom = True
-        consumed = False
         while i < len(tokens):
             tok = tokens[i]
             if tok in "+-":
                 break
             if tok == "*":
+                if expect_atom:
+                    raise PolyParseError("misplaced '*'")
                 i += 1
                 expect_atom = True
                 continue
@@ -586,12 +595,12 @@ def parse_terms(text: str, n: int, N: int, *, allow_deriv: bool = False):
             else:
                 var, is_deriv = parse_var(tok, n, N, allow_deriv=allow_deriv)
                 target = deriv if is_deriv else mult
-                target[var] = target.get(var, 0) + exp
+                r = var.rank(n, N)
+                target[r] = target.get(r, 0) + exp
             i += adv
             expect_atom = False
-            consumed = True
-        if not consumed:
-            raise PolyParseError("empty term")
+        if expect_atom:
+            raise PolyParseError("dangling '*'")
         terms.append((coef, mult, deriv))
     return terms
 
@@ -601,7 +610,7 @@ def parse_poly(text: str, n: int, N: int) -> Poly:
     out: Dict[Monomial, Fraction] = {}
     for coef, mult, _ in parse_terms(text, n, N, allow_deriv=False):
         m = mono_from_dict(mult)
-        out[m] = out.get(m, Fraction(0)) + coef
+        out[m] = out.get(m, 0) + coef
     return Poly(n, N, out)
 
 
@@ -618,14 +627,17 @@ def poly_from_json(data: List[dict], n: int, N: int) -> Poly:
             raise PolyParseError(f"bad polynomial JSON entry {entry!r}") from exc
         if not isinstance(exps, dict):
             raise PolyParseError(f'"exps" must map variables to exponents in {entry!r}')
-        mult: Dict[VarId, int] = {}
+        mult: Dict[int, int] = {}
         for name, e in exps.items():
             var, _ = parse_var(name, n, N)
             try:
                 e = int(e)
             except (TypeError, ValueError) as exc:
                 raise PolyParseError(f"bad exponent {e!r} in {entry!r}") from exc
-            mult[var] = mult.get(var, 0) + e
+            if e < 0:
+                raise PolyParseError(f"negative exponent {e} in {entry!r}")
+            r = var.rank(n, N)
+            mult[r] = mult.get(r, 0) + e
         m = mono_from_dict(mult)
-        out[m] = out.get(m, Fraction(0)) + coef
+        out[m] = out.get(m, 0) + coef
     return Poly(n, N, out)

@@ -45,7 +45,11 @@ class Weight:
 
     @classmethod
     def parse(cls, text: str, n: int) -> "Weight":
-        return cls.from_partition([Fraction(part) for part in text.split(",")], n)
+        try:
+            parts = [Fraction(part) for part in text.split(",")]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in weight {text!r}") from exc
+        return cls.from_partition(parts, n)
 
     @property
     def n(self) -> int:

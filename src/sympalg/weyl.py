@@ -25,6 +25,7 @@ from .poly import (
     ONE,
     Monomial,
     Poly,
+    Terms,
     UniverseMismatch,
     VarId,
     copy_variables,
@@ -33,6 +34,7 @@ from .poly import (
     mono_sort_key,
     mono_str,
     parse_terms,
+    var_names,
 )
 
 OpKey = Tuple[Monomial, Monomial]
@@ -49,111 +51,41 @@ class ClosureNotClosed(RuntimeError):
         self.dimension = dimension
 
 
-class WeylOp:
-    """A normal-ordered element of the Weyl algebra over the (n, N) universe."""
+class WeylOp(Terms):
+    """A normal-ordered element of the Weyl algebra over the (n, N) universe,
+    keyed by (multiplication monomial, derivative monomial) pairs."""
 
-    __slots__ = ("n", "N", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, N: int, terms: Optional[Dict[OpKey, Fraction]] = None):
-        if n < 1 or N < 1:
-            raise ValueError("need n >= 1 and N >= 1")
-        self.n = n
-        self.N = N
-        clean: Dict[OpKey, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[key] = c
-        self.terms = clean
+    _one = (ONE, ONE)
+
+    @staticmethod
+    def sort_key(key: OpKey):
+        return (mono_sort_key(key[0]), mono_sort_key(key[1]))
+
+    @staticmethod
+    def key_str(key: OpKey, names: Sequence[str]) -> str:
+        m, d = key
+        factors = [mono_str(m, names)] if m else []
+        factors.extend(f"d{names[r]}" if e == 1 else f"d{names[r]}^{e}" for r, e in d)
+        return "*".join(factors) or "1"
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, N: int) -> "WeylOp":
-        return cls(n, N)
-
-    @classmethod
     def identity(cls, n: int, N: int, c=1) -> "WeylOp":
-        return cls(n, N, {(ONE, ONE): Fraction(c)})
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "WeylOp":
-        """The multiplication operator f -> p*f."""
-        return cls(p.n, p.N, {(m, ONE): c for m, c in p.terms.items()})
+        return cls.const(n, N, c)
 
     @classmethod
     def deriv(cls, n: int, N: int, v: VarId, order: int = 1) -> "WeylOp":
-        if not v.in_universe(n, N):
-            raise UniverseMismatch(f"{v} outside the (n={n}, N={N}) universe")
-        return cls(n, N, {(ONE, ((v, order),)): Fraction(1)})
+        return cls(n, N, {(ONE, mono_from_dict({v.rank(n, N): order})): 1})
 
     @classmethod
     def mult(cls, n: int, N: int, v: VarId, order: int = 1) -> "WeylOp":
-        if not v.in_universe(n, N):
-            raise UniverseMismatch(f"{v} outside the (n={n}, N={N}) universe")
-        return cls(n, N, {(((v, order),), ONE): Fraction(1)})
+        return cls(n, N, {(mono_from_dict({v.rank(n, N): order}), ONE): 1})
 
-    # -- protocol ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WeylOp):
-            return self.n == other.n and self.N == other.N and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.N, frozenset(self.terms.items())))
-
-    def _check(self, other: "WeylOp"):
-        if self.n != other.n or self.N != other.N:
-            raise UniverseMismatch(
-                f"(n={self.n}, N={self.N}) vs (n={other.n}, N={other.N})"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.identity(self.n, self.N, other)
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return WeylOp(self.n, self.N, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylOp(self.n, self.N, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.identity(self.n, self.N, other)
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return WeylOp(self.n, self.N, {k: c * v for k, v in self.terms.items()})
-        if isinstance(other, WeylOp):
-            return compose(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    def _product(self, other: "WeylOp") -> "WeylOp":
+        return compose(self, other)
 
     def total_order(self) -> int:
         """Maximal mult-degree + deriv-degree over the terms."""
@@ -162,52 +94,16 @@ class WeylOp:
             default=0,
         )
 
-    def items_sorted(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kc: (mono_sort_key(kc[0][0]), mono_sort_key(kc[0][1])),
-        )
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m, d), c in self.items_sorted():
-            factors = []
-            if m:
-                factors.append(mono_str(m))
-            if d:
-                factors.append("*".join(
-                    f"d{v}" if e == 1 else f"d{v}^{e}" for v, e in d
-                ))
-            body = "*".join(factors) if factors else "1"
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if c != 1 or body == "1":
-                body = f"{c}*{body}" if body != "1" else str(c)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    __repr__ = __str__
-
     def to_json(self) -> List[dict]:
-        out = []
-        for (m, d), c in self.items_sorted():
-            out.append(
-                {
-                    "coef": str(c),
-                    "mult": {str(v): e for v, e in m},
-                    "deriv": {str(v): e for v, e in d},
-                }
-            )
-        return out
-
-    def apply(self, p: Poly) -> Poly:
-        return apply_op(self, p)
+        names = var_names(self.n, self.N)
+        return [
+            {
+                "coef": str(c),
+                "mult": {names[r]: e for r, e in m},
+                "deriv": {names[r]: e for r, e in d},
+            }
+            for (m, d), c in self.items_sorted()
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +119,10 @@ def _push_deriv_past_mono(alpha: Monomial, beta: Monomial):
     """
     da = dict(alpha)
     mb = dict(beta)
-    shared = [v for v in da if v in mb]
-    choices: List[Tuple[int, Dict[VarId, int], Dict[VarId, int]]] = [(1, mb, da)]
-    for v in shared:
-        a, b = da[v], mb[v]
+    shared = [r for r in da if r in mb]
+    choices: List[Tuple[int, Dict[int, int], Dict[int, int]]] = [(1, mb, da)]
+    for r in shared:
+        a, b = da[r], mb[r]
         new_choices = []
         for weight, cur_mb, cur_da in choices:
             for g in range(min(a, b) + 1):
@@ -235,17 +131,17 @@ def _push_deriv_past_mono(alpha: Monomial, beta: Monomial):
                 nda = dict(cur_da)
                 if g:
                     if b - g:
-                        nmb[v] = b - g
+                        nmb[r] = b - g
                     else:
-                        del nmb[v]
+                        del nmb[r]
                     if a - g:
-                        nda[v] = a - g
+                        nda[r] = a - g
                     else:
-                        del nda[v]
+                        del nda[r]
                 new_choices.append((w, nmb, nda))
         choices = new_choices
     for weight, cur_mb, cur_da in choices:
-        yield weight, mono_from_dict(cur_mb), mono_from_dict(cur_da)
+        yield weight, tuple(sorted(cur_mb.items())), tuple(sorted(cur_da.items()))
 
 
 def compose(A: WeylOp, B: WeylOp) -> WeylOp:
@@ -257,7 +153,7 @@ def compose(A: WeylOp, B: WeylOp) -> WeylOp:
             c = ca * cb
             for weight, mid_m, mid_d in _push_deriv_past_mono(da, mb):
                 key = (mono_mul(ma, mid_m), mono_mul(mid_d, db))
-                out[key] = out.get(key, Fraction(0)) + c * weight
+                out[key] = out.get(key, 0) + c * weight
     return WeylOp(A.n, A.N, out)
 
 
@@ -271,26 +167,24 @@ def apply_op(A: WeylOp, p: Poly) -> Poly:
         raise UniverseMismatch(f"operator (n={A.n}, N={A.N}) vs poly (n={p.n}, N={p.N})")
     out: Dict[Monomial, Fraction] = {}
     for (m, d), c in A.terms.items():
-        dd = dict(d)
         for mono, coef in p.terms.items():
             exps = dict(mono)
             weight = 1
-            ok = True
-            for v, a in dd.items():
-                e = exps.get(v, 0)
+            for r, a in d:
+                e = exps.get(r, 0)
                 if e < a:
-                    ok = False
                     break
                 for s in range(a):
                     weight *= e - s
                 if e == a:
-                    del exps[v]
+                    del exps[r]
                 else:
-                    exps[v] = e - a
-            if not ok:
-                continue
-            res = mono_mul(mono_from_dict(exps), m)
-            out[res] = out.get(res, Fraction(0)) + c * coef * weight
+                    exps[r] = e - a
+            else:  # no derivative factor annihilated the monomial
+                for r, e in m:
+                    exps[r] = exps.get(r, 0) + e
+                res = tuple(sorted(exps.items()))
+                out[res] = out.get(res, 0) + c * coef * weight
     return Poly(p.n, p.N, out)
 
 
@@ -315,16 +209,24 @@ def eigenvalue(op: WeylOp, p: Poly) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _sum_terms(n: int, N: int, pieces: Iterable[Tuple[Fraction, Monomial, Monomial]]) -> WeylOp:
+def _sum_terms(
+    n: int, N: int, pieces: Iterable[Tuple[Fraction, Sequence[VarId], Sequence[VarId]]]
+) -> WeylOp:
+    """Sum of c * (product of the mult variables) * (product of the deriv
+    variables) over the pieces; a repeated variable is a power."""
     terms: Dict[OpKey, Fraction] = {}
-    for c, m, d in pieces:
-        key = (m, d)
-        terms[key] = terms.get(key, Fraction(0)) + c
+    for c, mult, deriv in pieces:
+        key = (_mono(n, N, mult), _mono(n, N, deriv))
+        terms[key] = terms.get(key, 0) + c
     return WeylOp(n, N, terms)
 
 
-def _m(v: VarId) -> Monomial:
-    return ((v, 1),)
+def _mono(n: int, N: int, vars_: Sequence[VarId]) -> Monomial:
+    exps: Dict[int, int] = {}
+    for v in vars_:
+        r = v.rank(n, N)
+        exps[r] = exps.get(r, 0) + 1
+    return mono_from_dict(exps)
 
 
 def _check_copy(a: int, N: int):
@@ -335,36 +237,30 @@ def _check_copy(a: int, N: int):
 def euler_op(n: int, N: int, copy: int) -> WeylOp:
     """E over copy a: sum_i x_a.i d_x_a.i + y_a.i d_y_a.i."""
     _check_copy(copy, N)
-    return _sum_terms(
-        n, N,
-        ((Fraction(1), _m(v), _m(v)) for v in copy_variables(n, copy)),
-    )
+    return euler_vars_op(n, N, copy_variables(n, copy))
 
 
 def euler_vars_op(n: int, N: int, vars_: Sequence[VarId]) -> WeylOp:
-    return _sum_terms(n, N, ((Fraction(1), _m(v), _m(v)) for v in vars_))
+    return _sum_terms(n, N, ((1, (v,), (v,)) for v in vars_))
 
 
 def laplacian_op(n: int, N: int, vars_: Optional[Sequence[VarId]] = None) -> WeylOp:
     """Sum of d_v^2 over the given variables (default: the 2n coords of copy 1)."""
     if vars_ is None:
         vars_ = copy_variables(n, 1)
-    return _sum_terms(n, N, ((Fraction(1), ONE, ((v, 2),)) for v in vars_))
+    return _sum_terms(n, N, ((1, (), (v, v)) for v in vars_))
 
 
 def r_squared_op(n: int, N: int, vars_: Optional[Sequence[VarId]] = None) -> WeylOp:
     """Multiplication by |x|^2 over the given variables."""
     if vars_ is None:
         vars_ = copy_variables(n, 1)
-    return _sum_terms(n, N, ((Fraction(1), ((v, 2),), ONE) for v in vars_))
+    return _sum_terms(n, N, ((1, (v, v), ()) for v in vars_))
 
 
 def angular_momentum_op(n: int, N: int, va: VarId, vb: VarId) -> WeylOp:
     """L_ab = a d_b - b d_a for two coordinates of the same universe."""
-    return _sum_terms(
-        n, N,
-        [(Fraction(1), _m(va), _m(vb)), (Fraction(-1), _m(vb), _m(va))],
-    )
+    return _sum_terms(n, N, [(1, (va,), (vb,)), (-1, (vb,), (va,))])
 
 
 def pairing_vars_op(n: int, N: int, a: int, b: int) -> WeylOp:
@@ -375,8 +271,8 @@ def pairing_vars_op(n: int, N: int, a: int, b: int) -> WeylOp:
     for i in range(1, n + 1):
         xa, ya = VarId("x", a, i), VarId("y", a, i)
         xb, yb = VarId("x", b, i), VarId("y", b, i)
-        pieces.append((Fraction(1), mono_mul(_m(xa), _m(yb)), ONE))
-        pieces.append((Fraction(-1), mono_mul(_m(ya), _m(xb)), ONE))
+        pieces.append((1, (xa, yb), ()))
+        pieces.append((-1, (ya, xb), ()))
     return _sum_terms(n, N, pieces)
 
 
@@ -388,8 +284,8 @@ def pairing_derivs_op(n: int, N: int, a: int, b: int) -> WeylOp:
     for i in range(1, n + 1):
         xa, ya = VarId("x", a, i), VarId("y", a, i)
         xb, yb = VarId("x", b, i), VarId("y", b, i)
-        pieces.append((Fraction(1), ONE, mono_mul(_m(xa), _m(yb))))
-        pieces.append((Fraction(-1), ONE, mono_mul(_m(ya), _m(xb))))
+        pieces.append((1, (), (xa, yb)))
+        pieces.append((-1, (), (ya, xb)))
     return _sum_terms(n, N, pieces)
 
 
@@ -397,10 +293,8 @@ def contraction_op(n: int, N: int, a: int, b: int) -> WeylOp:
     """Euclidean contraction <u_a, d_b> = sum over all 2n coords of u_a.c d_u_b.c."""
     _check_copy(a, N)
     _check_copy(b, N)
-    pieces = []
-    for va, vb in zip(copy_variables(n, a), copy_variables(n, b)):
-        pieces.append((Fraction(1), _m(va), _m(vb)))
-    return _sum_terms(n, N, pieces)
+    pieces = zip(copy_variables(n, a), copy_variables(n, b))
+    return _sum_terms(n, N, ((1, (va,), (vb,)) for va, vb in pieces))
 
 
 def dirac_op(n: int, N: int, copy: int) -> WeylOp:
@@ -410,8 +304,8 @@ def dirac_op(n: int, N: int, copy: int) -> WeylOp:
     for i in range(1, n + 1):
         z = VarId("z", None, i)
         x, y = VarId("x", copy, i), VarId("y", copy, i)
-        pieces.append((Fraction(1), _m(z), _m(y)))
-        pieces.append((Fraction(-1), ONE, mono_mul(_m(z), _m(x))))
+        pieces.append((1, (z,), (y,)))
+        pieces.append((-1, (), (z, x)))
     return _sum_terms(n, N, pieces)
 
 
@@ -422,8 +316,8 @@ def dirac_adjoint_op(n: int, N: int, copy: int) -> WeylOp:
     for i in range(1, n + 1):
         z = VarId("z", None, i)
         x, y = VarId("x", copy, i), VarId("y", copy, i)
-        pieces.append((Fraction(1), mono_mul(_m(x), _m(z)), ONE))
-        pieces.append((Fraction(1), _m(y), _m(z)))
+        pieces.append((1, (x, z), ()))
+        pieces.append((1, (y,), (z,)))
     return _sum_terms(n, N, pieces)
 
 
@@ -467,7 +361,7 @@ def parse_weyl_op(text: str, n: int, N: int) -> WeylOp:
     terms: Dict[OpKey, Fraction] = {}
     for coef, mult, deriv in parse_terms(text, n, N, allow_deriv=True):
         key = (mono_from_dict(mult), mono_from_dict(deriv))
-        terms[key] = terms.get(key, Fraction(0)) + coef
+        terms[key] = terms.get(key, 0) + coef
     return WeylOp(n, N, terms)
 
 
@@ -494,31 +388,31 @@ def _scalar_generator(n: int, N: int, kind: str, j: int, k: int) -> WeylOp:
         xj, yj = VarId("x", a, j), VarId("y", a, j)
         xk, yk = VarId("x", a, k), VarId("y", a, k)
         if kind == "X":
-            pieces.append((Fraction(1), _m(xj), _m(xk)))
-            pieces.append((Fraction(-1), _m(yk), _m(yj)))
+            pieces.append((1, (xj,), (xk,)))
+            pieces.append((-1, (yk,), (yj,)))
         elif kind == "Y":
-            pieces.append((Fraction(1), _m(xj), _m(yk)))
+            pieces.append((1, (xj,), (yk,)))
             if j != k:
-                pieces.append((Fraction(1), _m(xk), _m(yj)))
+                pieces.append((1, (xk,), (yj,)))
         elif kind == "Z":
-            pieces.append((Fraction(1), _m(yj), _m(xk)))
+            pieces.append((1, (yj,), (xk,)))
             if j != k:
-                pieces.append((Fraction(1), _m(yk), _m(xj)))
+                pieces.append((1, (yk,), (xj,)))
     return _sum_terms(n, N, pieces)
 
 
 def _spinor_part(n: int, N: int, kind: str, j: int, k: int) -> WeylOp:
     zj, zk = VarId("z", None, j), VarId("z", None, k)
+    half = Fraction(1, 2) if j == k else 1
     if kind == "X":
-        terms = {(_m(zk), _m(zj)): Fraction(-1)}
+        pieces = [(-1, (zk,), (zj,))]
         if j == k:
-            terms[(ONE, ONE)] = Fraction(-1, 2)
-        return WeylOp(n, N, terms)
-    if kind == "Y":
-        c = Fraction(-1) if j != k else Fraction(-1, 2)
-        return WeylOp(n, N, {(ONE, mono_mul(_m(zj), _m(zk))): c})
-    c = Fraction(1) if j != k else Fraction(1, 2)
-    return WeylOp(n, N, {(mono_mul(_m(zj), _m(zk)), ONE): c})
+            pieces.append((-half, (), ()))
+    elif kind == "Y":
+        pieces = [(-half, (), (zj, zk))]
+    else:
+        pieces = [(half, (zj, zk), ())]
+    return _sum_terms(n, N, pieces)
 
 
 def build_sp2n_realization(kind: str, n: int, N: int) -> List[RealizationElement]:
@@ -581,10 +475,6 @@ class _OpSpan:
         self.pivots: Dict[OpKey, Dict[OpKey, Fraction]] = {}
         self.order: List[OpKey] = []
 
-    @staticmethod
-    def _vec(op: WeylOp) -> Dict[OpKey, Fraction]:
-        return dict(op.terms)
-
     def _reduce(self, vec: Dict[OpKey, Fraction]) -> Dict[OpKey, Fraction]:
         for key in self.order:
             c = vec.get(key)
@@ -601,7 +491,7 @@ class _OpSpan:
 
     def coordinates(self, op: WeylOp) -> Optional[Dict[OpKey, Fraction]]:
         """Pivot-key -> coefficient expansion of op, or None if outside the span."""
-        vec = self._reduce(self._vec(op))
+        vec = self._reduce(dict(op.terms))
         if vec:
             return None
         # pivots are mutually reduced, so coordinates read off the pivot entries
@@ -613,10 +503,10 @@ class _OpSpan:
 
     def insert(self, op: WeylOp) -> bool:
         """Add op to the span; returns True if the dimension grew."""
-        vec = self._reduce(self._vec(op))
+        vec = self._reduce(dict(op.terms))
         if not vec:
             return False
-        key = min(vec, key=lambda k: (mono_sort_key(k[0]), mono_sort_key(k[1])))
+        key = min(vec, key=WeylOp.sort_key)
         lead = vec[key]
         vec = {k: v / lead for k, v in vec.items()}
         # eliminate the new pivot from the existing reduced vectors

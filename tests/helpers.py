@@ -14,7 +14,7 @@ from sympalg.weyl import apply_op
 
 
 def random_poly(rng, n=2, N=2, terms=4, deg=3):
-    vs = variables(n, N)
+    vs = range(len(variables(n, N)))  # variable ranks
     p = Poly.zero(n, N)
     for _ in range(terms):
         coef = Fraction(rng.randint(-4, 4), rng.randint(1, 3))

@@ -27,6 +27,11 @@ class TestDim:
         assert code == EXIT_INVALID
         assert "not dominant" in err
 
+    def test_zero_denominator_weight_exits_2(self, capsys):
+        code, _, err = run(capsys, "dim", "--n", "2", "--weight", "1/0")
+        assert code == EXIT_INVALID
+        assert "zero denominator" in err
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "dim", "--n", "4", "--weight", "2,1")
         _, out2, _ = run(capsys, "dim", "--n", "4", "--weight", "2,1")
@@ -154,6 +159,11 @@ class TestTensor:
         data = json.loads(out)
         # the omega reading bounds d_1 by l1-l2, giving a smaller drop set
         assert 0 < len(data["summands"]) < 12
+
+    def test_zero_denominator_weight_exits_2(self, capsys):
+        code, _, err = run(capsys, "tensor", "--n", "2", "--weight", "1/0")
+        assert code == EXIT_INVALID
+        assert "zero denominator" in err
 
 
 class TestProjectAndRs:

@@ -72,8 +72,9 @@ class TestOperatorMatrix:
     def test_degree_shift_mismatch(self):
         spec = GradedSpec(1, 1, (2,))
         A = WeylOp.deriv(1, 1, VarId("x", 1, 1))
-        with pytest.raises(DegreeShiftMismatch):
+        with pytest.raises(DegreeShiftMismatch) as info:
             operator_matrix(A, spec, MultiDegree((0,), 0))
+        assert str(info.value).startswith("image term x1.1 of column x1.1^2 has multidegree")
 
 
 class TestJointKernel:

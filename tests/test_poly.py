@@ -61,6 +61,14 @@ class TestArithmetic:
         with pytest.raises(UniverseMismatch):
             Poly.var(2, 1, "x1.1") + Poly.var(3, 1, "x1.1")
 
+    def test_printed_term_order(self):
+        p = parse_poly("z1 + y2.1 + x1.1*z1 + x1.1^2 - 3/2*x2.1", 1, 2)
+        assert str(p) == "x1.1^2 + x1.1*z1 - 3/2*x2.1 + y2.1 + z1"
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Poly(1, 1, {(): 0.5})
+
     def test_ring_axioms_random(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -157,8 +165,12 @@ class TestMonomialBasis:
 class TestParsing:
     def test_simple(self):
         p = parse_poly("3/2*x1.1^2*z1 - y1.2", 4, 2)
-        assert p.terms[mono_from_dict({VarId("x", 1, 1): 2, VarId("z", None, 1): 1})] == Fraction(3, 2)
-        assert p.terms[mono_from_dict({VarId("y", 1, 2): 1})] == Fraction(-1)
+
+        def rank(*v):
+            return VarId(*v).rank(4, 2)
+
+        assert p.terms[mono_from_dict({rank("x", 1, 1): 2, rank("z", None, 1): 1})] == Fraction(3, 2)
+        assert p.terms[mono_from_dict({rank("y", 1, 2): 1})] == Fraction(-1)
 
     def test_alias_for_single_copy(self):
         assert parse_poly("x2", 3, 1) == Poly.var(3, 1, "x1.2")
@@ -182,6 +194,15 @@ class TestParsing:
         for _ in range(20):
             p = random_poly(rng)
             assert poly_from_json(p.to_json(), p.n, p.N) == p
+
+    @pytest.mark.parametrize("text", ["x1.1*", "*x1.1", "x1.1**x1.2", "2*", "x1.1* + y1.1"])
+    def test_rejects_stray_star(self, text):
+        with pytest.raises(PolyParseError):
+            parse_poly(text, 2, 2)
+
+    def test_json_rejects_negative_exponent(self):
+        with pytest.raises(PolyParseError, match="negative exponent"):
+            poly_from_json([{"coef": "1", "exps": {"x1.1": -1}}], 2, 1)
 
     def test_rejects_derivative_factor(self):
         with pytest.raises(PolyParseError):

@@ -49,6 +49,17 @@ X11 = VarId("x", 1, 1)
 Z1 = VarId("z", None, 1)
 
 
+def compose_pool(n, N):
+    return [
+        dirac_op(n, N, 1),
+        dirac_adjoint_op(n, N, 2),
+        contraction_op(n, N, 1, 2),
+        pairing_vars_op(n, N, 1, 2),
+        pairing_derivs_op(n, N, 1, 2),
+        euler_op(n, N, 1),
+    ]
+
+
 class TestCompose:
     def test_canonical_commutation(self):
         # d_x o x = x d_x + 1
@@ -58,14 +69,19 @@ class TestCompose:
 
     def test_already_normal_ordered(self):
         got = compose(M(1, 1, X11), D(1, 1, X11))
-        assert got == WeylOp(1, 1, {(((X11, 1),), ((X11, 1),)): Fraction(1)})
+        x = X11.rank(1, 1)
+        assert got == WeylOp(1, 1, {(((x, 1),), ((x, 1),)): Fraction(1)})
+
+    def test_zeroth_order_is_identity(self):
+        assert D(1, 1, X11, 0) == WeylOp.identity(1, 1) == M(1, 1, Z1, 0)
 
     def test_second_order(self):
         # d_z^2 o z^2 = z^2 d_z^2 + 4 z d_z + 2   (product rule twice, by hand)
         got = compose(D(1, 1, Z1, 2), M(1, 1, Z1, 2))
+        z = Z1.rank(1, 1)
         expected = (
-            WeylOp(1, 1, {(((Z1, 2),), ((Z1, 2),)): Fraction(1)})
-            + 4 * WeylOp(1, 1, {(((Z1, 1),), ((Z1, 1),)): Fraction(1)})
+            WeylOp(1, 1, {(((z, 2),), ((z, 2),)): Fraction(1)})
+            + 4 * WeylOp(1, 1, {(((z, 1),), ((z, 1),)): Fraction(1)})
             + 2
         )
         assert got == expected
@@ -73,14 +89,7 @@ class TestCompose:
     def test_apply_respects_compose(self):
         rng = random.Random(23)
         n, N = 2, 2
-        pool = [
-            dirac_op(n, N, 1),
-            dirac_adjoint_op(n, N, 2),
-            contraction_op(n, N, 1, 2),
-            pairing_vars_op(n, N, 1, 2),
-            pairing_derivs_op(n, N, 1, 2),
-            euler_op(n, N, 1),
-        ]
+        pool = compose_pool(n, N)
         from helpers import random_poly
 
         for _ in range(20):
@@ -386,6 +395,22 @@ class TestParafermion:
 class TestOperatorGrammar:
     def test_parse_dirac(self):
         assert parse_weyl_op("z1*dy1.1 - dz1*dx1.1", 1, 1) == dirac_op(1, 1, 1)
+
+    def test_printed_term_order(self):
+        assert str(dirac_op(1, 1, 1)) == "-dx1.1*dz1 + z1*dy1.1"
+
+    def test_str_roundtrip(self):
+        rng = random.Random(31)
+        n, N = 2, 2
+        pool = compose_pool(n, N)
+        for _ in range(20):
+            A, B = rng.choice(pool), rng.choice(pool)
+            op = compose(A, B) * Fraction(rng.randint(-5, 5), rng.randint(1, 4)) + A
+            assert parse_weyl_op(str(op), n, N) == op
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            WeylOp(1, 1, {((), ()): 0.5})
 
     def test_json_roundtrip(self):
         op = dirac_adjoint_op(2, 2, 2) + Fraction(1, 3) * euler_op(2, 2, 1)
