@@ -214,7 +214,7 @@ def cmd_rs_apply(args) -> int:
 
 def cmd_rs_calibrate(args) -> int:
     candidates = None
-    if args.candidates:
+    if args.candidates is not None:
         try:
             candidates = [Fraction(c) for c in args.candidates.split(",")]
         except (ValueError, ZeroDivisionError) as exc:

@@ -13,19 +13,25 @@ dictionaries, never as dense rational lists.  Because every pivot is the
 smallest column of its row, the vector of free column f is supported on f and
 on pivot columns below f: f is its largest key, and the nullity of the column
 prefix M[:, :k] is the number of vectors whose largest key is below k.
+
+The forward step is ``echelon_insert``.  ``weyl.lie_closure`` runs it too, on
+operators as integer rows keyed by their (ordered) terms, so Lie spans are
+decided by this same elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List
+from typing import Dict, List, TypeVar
 
+K = TypeVar("K")  # a column key: an int for matrices, an operator term for lie_closure
 Row = Dict[int, Fraction]
 IntRow = Dict[int, int]
 
 
-def _integerize(row: Row) -> IntRow:
+def integerize(row: Dict[K, Fraction]) -> Dict[K, int]:
+    """The row scaled to coprime integers (zero entries dropped)."""
     denom = 1
     for c in row.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
@@ -33,7 +39,7 @@ def _integerize(row: Row) -> IntRow:
     return _strip_content(out)
 
 
-def _strip_content(row: IntRow) -> IntRow:
+def _strip_content(row: Dict[K, int]) -> Dict[K, int]:
     if not row:
         return row
     g = 0
@@ -44,11 +50,11 @@ def _strip_content(row: IntRow) -> IntRow:
     return row
 
 
-def _combine(row: IntRow, piv: IntRow, col: int) -> IntRow:
+def _combine(row: Dict[K, int], piv: Dict[K, int], col: K) -> Dict[K, int]:
     """Eliminate ``col`` from row using the pivot row (integer cross-multiply)."""
     a = piv[col]
     b = row[col]
-    out: IntRow = {}
+    out: Dict[K, int] = {}
     for j, v in row.items():
         out[j] = a * v
     for j, v in piv.items():
@@ -60,6 +66,20 @@ def _combine(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _strip_content(out)
 
 
+def echelon_insert(pivots: Dict[K, Dict[K, int]], row: Dict[K, int]) -> bool:
+    """Reduce the integer row against ``pivots`` (pivot key -> row whose
+    smallest key is that pivot) and store a nonzero remainder as a new pivot
+    row.  Returns True iff the row was independent of the pivot rows."""
+    while row:
+        col = min(row)
+        piv = pivots.get(col)
+        if piv is None:
+            pivots[col] = row
+            return True
+        row = _combine(row, piv, col)
+    return False
+
+
 def nullspace(rows: List[Row], ncols: int) -> List[IntRow]:
     """Exact basis of {v : M v = 0} for the sparse matrix given by ``rows``.
 
@@ -67,18 +87,12 @@ def nullspace(rows: List[Row], ncols: int) -> List[IntRow]:
     index: a dict column -> int, keys ascending, with content 1 and a positive
     entry at its lowest column.  The free column is the vector's largest key.
     """
-    int_rows = [_integerize(r) for r in rows]
+    int_rows = [integerize(r) for r in rows]
     int_rows = [r for r in int_rows if r]
     int_rows.sort(key=lambda r: (len(r), sorted(r)))
     pivots: Dict[int, IntRow] = {}
     for row in int_rows:
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                pivots[col] = row
-                break
-            row = _combine(row, piv, col)
+        echelon_insert(pivots, row)
     # back-substitution: make pivot rows mutually reduced, so every entry of a
     # pivot row other than its pivot lies in a free column
     order = sorted(pivots)

@@ -614,14 +614,24 @@ def parse_poly(text: str, n: int, N: int) -> Poly:
     return Poly(n, N, out)
 
 
+def _exact(value):
+    """A JSON number as given, refusing floats (0.1 is not 1/10, and 1.7 would
+    truncate to 1) and booleans (true would read as 1)."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{value!r} is not an exact number")
+    return value
+
+
 def poly_from_json(data: List[dict], n: int, N: int) -> Poly:
-    """Read a term list ``[{"coef": "3/2", "exps": {"x1.1": 2}}, ...]``."""
+    """Read a term list ``[{"coef": "3/2", "exps": {"x1.1": 2}}, ...]``.
+
+    Coefficients are integers or fraction strings, exponents integers."""
     if not isinstance(data, list):
         raise PolyParseError(f"polynomial JSON must be a term list, not {data!r}")
     out: Dict[Monomial, Fraction] = {}
     for entry in data:
         try:
-            coef = Fraction(entry["coef"])
+            coef = Fraction(_exact(entry["coef"]))
             exps = entry.get("exps", {})
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad polynomial JSON entry {entry!r}") from exc
@@ -631,7 +641,7 @@ def poly_from_json(data: List[dict], n: int, N: int) -> Poly:
         for name, e in exps.items():
             var, _ = parse_var(name, n, N)
             try:
-                e = int(e)
+                e = int(_exact(e))
             except (TypeError, ValueError) as exc:
                 raise PolyParseError(f"bad exponent {e!r} in {entry!r}") from exc
             if e < 0:

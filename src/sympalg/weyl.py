@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .linalg import echelon_insert, integerize
 from .poly import (
     ONE,
     Monomial,
@@ -462,112 +463,41 @@ def build_sp2n_realization(kind: str, n: int, N: int) -> List[RealizationElement
 class ClosureResult:
     basis: List[WeylOp]
     dimension: int
-    structure_constants: Dict[Tuple[int, int], Dict[int, Fraction]]
     rounds: int
-
-
-class _OpSpan:
-    """Exact echelon span of operators viewed as sparse coefficient vectors."""
-
-    def __init__(self):
-        # pivot key -> reduced vector (vector has coefficient 1 at its pivot
-        # and zero at every other pivot key)
-        self.pivots: Dict[OpKey, Dict[OpKey, Fraction]] = {}
-        self.order: List[OpKey] = []
-
-    def _reduce(self, vec: Dict[OpKey, Fraction]) -> Dict[OpKey, Fraction]:
-        for key in self.order:
-            c = vec.get(key)
-            if not c:
-                continue
-            piv = self.pivots[key]
-            for k2, v2 in piv.items():
-                nv = vec.get(k2, Fraction(0)) - c * v2
-                if nv:
-                    vec[k2] = nv
-                elif k2 in vec:
-                    del vec[k2]
-        return vec
-
-    def coordinates(self, op: WeylOp) -> Optional[Dict[OpKey, Fraction]]:
-        """Pivot-key -> coefficient expansion of op, or None if outside the span."""
-        vec = self._reduce(dict(op.terms))
-        if vec:
-            return None
-        # pivots are mutually reduced, so coordinates read off the pivot entries
-        return {
-            key: op.terms[key]
-            for key in self.order
-            if op.terms.get(key, Fraction(0)) != 0
-        }
-
-    def insert(self, op: WeylOp) -> bool:
-        """Add op to the span; returns True if the dimension grew."""
-        vec = self._reduce(dict(op.terms))
-        if not vec:
-            return False
-        key = min(vec, key=WeylOp.sort_key)
-        lead = vec[key]
-        vec = {k: v / lead for k, v in vec.items()}
-        # eliminate the new pivot from the existing reduced vectors
-        for pkey in self.order:
-            piv = self.pivots[pkey]
-            c = piv.get(key)
-            if not c:
-                continue
-            for k2, v2 in vec.items():
-                nv = piv.get(k2, Fraction(0)) - c * v2
-                if nv:
-                    piv[k2] = nv
-                elif k2 in piv:
-                    del piv[k2]
-        self.pivots[key] = vec
-        self.order.append(key)
-        return True
-
-    def basis_ops(self, n: int, N: int) -> List[WeylOp]:
-        return [WeylOp(n, N, self.pivots[key]) for key in self.order]
 
 
 def lie_closure(generators: Sequence[WeylOp], max_rounds: int = 16) -> ClosureResult:
     """Close the given operators under commutators by exact linear algebra.
 
-    Raises ClosureNotClosed if the span is still growing after max_rounds.
+    ``basis`` lists the generators that are independent of the ones before
+    them, in the given order, then every bracket that enlarged the span, in
+    the order found.  Each pair of basis elements is bracketed once.  A
+    generator has depth 0 and a bracket one more than the deeper element of
+    its pair; the span of the elements of depth <= d is S_d, where S_0 is the
+    span of the generators and S_{d+1} = S_d + [S_d, S_d].  ``rounds`` is the
+    number of bracketing rounds, the last of which adds nothing: one more than
+    the greatest depth.
+
+    Raises ClosureNotClosed if an element would reach depth max_rounds.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    n, N = gens[0].n, gens[0].N
     for g in gens:
         gens[0]._check(g)
-    span = _OpSpan()
-    frontier: List[WeylOp] = []
-    for g in gens:
-        if span.insert(g):
-            frontier.append(g)
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > max_rounds:
-            raise ClosureNotClosed(max_rounds, len(span.order))
-        basis_now = span.basis_ops(n, N)
-        new_frontier: List[WeylOp] = []
-        for a in basis_now:
-            for b in frontier:
-                c = commutator(a, b)
-                if c and span.insert(c):
-                    new_frontier.append(c)
-        frontier = new_frontier
-    basis = span.basis_ops(n, N)
-    key_index = {key: i for i, key in enumerate(span.order)}
-    structure: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            bracket = commutator(basis[i], basis[j])
-            if not bracket:
-                continue
-            coords = span.coordinates(bracket)
-            if coords is None:
-                raise ClosureNotClosed(rounds, len(basis))
-            structure[(i, j)] = {key_index[k]: c for k, c in coords.items()}
-    return ClosureResult(basis, len(basis), structure, rounds)
+    pivots: Dict[OpKey, Dict[OpKey, int]] = {}
+    basis = [g for g in gens if echelon_insert(pivots, integerize(g.terms))]
+    depth = [0] * len(basis)
+    j = 0
+    while j < len(basis):  # the basis grows as the loop runs
+        for i in range(j):
+            c = commutator(basis[i], basis[j])
+            if echelon_insert(pivots, integerize(c.terms)):
+                if depth[j] + 1 >= max_rounds:
+                    raise ClosureNotClosed(max_rounds, len(basis))
+                basis.append(c)
+                depth.append(depth[j] + 1)
+        j += 1
+    # depths are appended in non-decreasing order, so the last is the greatest
+    rounds = depth[-1] + 1 if depth else 0
+    return ClosureResult(basis, len(basis), rounds)

@@ -219,6 +219,21 @@ class TestProjectAndRs:
         assert code == EXIT_INVALID
         assert "bad polynomial JSON entry" in err
 
+    def test_float_coef_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([{"coef": 0.1, "exps": {"x2.1": 1}}]))
+        code, _, err = run(capsys, "project", "--n", "2", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert "bad polynomial JSON entry" in err
+
+    def test_empty_candidates_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "rs-calibrate", "--k", "1", "--n", "2", "--zmax", "2",
+            "--candidates", "",
+        )
+        assert code == EXIT_INVALID
+        assert "bad candidate list" in err
+
     def test_exps_list_exits_2(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps([{"coef": "1", "exps": ["x2.1"]}]))

@@ -23,7 +23,7 @@ from sympalg.kernels import (
     symplectic_harmonic_kernel,
     symplectic_monogenic_kernel,
 )
-from sympalg.linalg import nullspace
+from sympalg.linalg import echelon_insert, integerize, nullspace
 from sympalg.poly import MultiDegree, Poly, VarId, copy_variables, parse_poly
 from sympalg.roots import Weight, weyl_dim
 from sympalg.tensor import cartan_product
@@ -227,6 +227,21 @@ class TestNullspace:
                 assert vec[min(vec)] > 0
                 assert gcd(*vec.values()) == 1
                 assert all(max(other) not in vec for other in vecs if other is not vec)
+
+    def test_echelon_insert_against_dense_rank(self):
+        # True exactly when a row raises the rank of the rows before it, so
+        # the True count is the rank; each pivot row starts at its pivot
+        rng = random.Random(13)
+        for _ in range(200):
+            ncols = rng.randint(1, 9)
+            rows = [integerize(r) for r in random_sparse_rows(rng, rng.randint(0, 8), ncols)]
+            dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+            pivots = {}
+            for k, row in enumerate(rows):
+                grew = dense_rank(dense[: k + 1]) > dense_rank(dense[:k])
+                assert echelon_insert(pivots, row) == grew
+            assert len(pivots) == dense_rank(dense)
+            assert all(min(piv) == col for col, piv in pivots.items())
 
 
 class TestFischer:

@@ -204,6 +204,21 @@ class TestParsing:
         with pytest.raises(PolyParseError, match="negative exponent"):
             poly_from_json([{"coef": "1", "exps": {"x1.1": -1}}], 2, 1)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"coef": 0.1, "exps": {"x2.1": 1}},
+            {"coef": 2.0},
+            {"coef": True, "exps": {"x2.1": 1}},
+            {"coef": "1", "exps": {"x2.1": 1.7}},
+            {"coef": "1", "exps": {"x2.1": 2.0}},
+            {"coef": "1", "exps": {"x2.1": True}},
+        ],
+    )
+    def test_json_rejects_floats_and_booleans(self, entry):
+        with pytest.raises(PolyParseError):
+            poly_from_json([entry], 2, 2)
+
     def test_rejects_derivative_factor(self):
         with pytest.raises(PolyParseError):
             parse_poly("dx1.1", 2, 1)
