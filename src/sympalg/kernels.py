@@ -149,25 +149,19 @@ class OperatorMatrix:
 
 def _assemble(
     ops: Sequence[WeylOp], domain: Sequence[Monomial], n: int, N: int
-) -> Tuple[List[Dict[int, Fraction]], Dict[Tuple[int, Monomial], int]]:
+) -> Dict[Tuple[int, Monomial], Dict[int, Fraction]]:
     """Stacked sparse matrix of the operators on the domain monomials.
 
-    One row per (operator index, image monomial), numbered in order of first
-    appearance; the returned index maps each such key to its row.
+    One row {column: coefficient} per (operator index, image monomial), in
+    order of first appearance.
     """
-    row_index: Dict[Tuple[int, Monomial], int] = {}
-    rows: List[Dict[int, Fraction]] = []
+    rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
     for j, mono in enumerate(domain):
         p = Poly(n, N, {mono: Fraction(1)})
         for oi, op in enumerate(ops):
             for imono, c in apply_op(op, p).terms.items():
-                key = (oi, imono)
-                i = row_index.get(key)
-                if i is None:
-                    i = row_index[key] = len(rows)
-                    rows.append({})
-                rows[i][j] = c
-    return rows, row_index
+                rows.setdefault((oi, imono), {})[j] = c
+    return rows
 
 
 def operator_matrix(
@@ -185,18 +179,21 @@ def operator_matrix(
     )
     index = {m: i for i, m in enumerate(codomain_basis)}
     rows: List[Dict[int, Fraction]] = [dict() for _ in codomain_basis]
-    images, image_index = _assemble([A], domain_basis, A.n, A.N)
-    for (_, imono), r in image_index.items():
+    for (_, imono), row in _assemble([A], domain_basis, A.n, A.N).items():
         i = index.get(imono)
         if i is None:
             names = var_names(A.n, A.N)
-            mono = domain_basis[next(iter(images[r]))]
+            degree = mono_multidegree(imono, A.n, A.N)
+            reason = (  # at the codomain degree, only num_vars leaves imono out
+                f"has multidegree {degree}, not {codomain_degree}"
+                if degree != codomain_degree
+                else f"uses a coordinate outside the first {domain.num_vars} of copy 1"
+            )
             raise DegreeShiftMismatch(
                 f"image term {mono_str(imono, names)} of column "
-                f"{mono_str(mono, names)} has multidegree "
-                f"{mono_multidegree(imono, A.n, A.N)}, not {codomain_degree}"
+                f"{mono_str(domain_basis[next(iter(row))], names)} {reason}"
             )
-        rows[i] = images[r]
+        rows[i] = row
     return OperatorMatrix(rows, domain_basis, codomain_basis)
 
 
@@ -261,8 +258,8 @@ def joint_kernel(
     domain = spec.domain_monomials()
     if not domain:
         raise EmptyBasis(f"no monomials in {spec}")
-    rows, _ = _assemble(ops, domain, spec.n, spec.N)
-    vecs = nullspace(rows, len(domain))
+    rows = _assemble(ops, domain, spec.n, spec.N)
+    vecs = nullspace(list(rows.values()), len(domain))
     vectors = [
         Poly(spec.n, spec.N, {domain[j]: c for j, c in vec.items()}) for vec in vecs
     ]

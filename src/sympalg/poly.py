@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -166,6 +166,27 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for r, e in b:
         exps[r] = exps.get(r, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def mono_apply(m: Monomial, d: Monomial, x: Monomial) -> Optional[Tuple[int, Monomial]]:
+    """The operator term x^m d^d applied to the monomial x^x, as (weight,
+    monomial) with the falling-factorial weight prod_v x_v!/(x_v - d_v)!, or
+    None when the term kills x^x.  Every derivative of a monomial, in
+    polynomial action and in normal ordering, is taken here."""
+    exps = dict(x)
+    weight = 1
+    for r, a in d:
+        e = exps.get(r, 0)
+        if e < a:
+            return None
+        weight *= perm(e, a)
+        if e == a:
+            del exps[r]
+        else:
+            exps[r] = e - a
+    for r, e in m:
+        exps[r] = exps.get(r, 0) + e
+    return weight, tuple(sorted(exps.items()))
 
 
 def mono_z_degree(m: Monomial, n: int, N: int) -> int:
@@ -390,16 +411,13 @@ class Poly(Terms):
         """Exact formal partial derivative with respect to v."""
         if isinstance(v, str):
             v, _ = parse_var(v, self.n, self.N)
-        r = v.rank(self.n, self.N)
+        d = ((v.rank(self.n, self.N), 1),)
         out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(r, 0)
-            if e == 0:
-                continue
-            exps[r] = e - 1
-            mm = mono_from_dict(exps)
-            out[mm] = out.get(mm, 0) + c * e
+            hit = mono_apply(ONE, d, m)
+            if hit is not None:
+                weight, mm = hit
+                out[mm] = out.get(mm, 0) + c * weight
         return Poly(self.n, self.N, out)
 
     def homogeneous_component(self, d: MultiDegree) -> "Poly":

@@ -2,9 +2,10 @@
 
 An operator is a finite sum of terms ``coef * (multiplication monomial) *
 (derivative monomial)`` with every multiplication written to the left of every
-derivative.  Composition repeatedly applies ``[d_v, w] = delta_{vw}`` to
-restore that canonical form, so structural equality of canonical forms decides
-operator equality, and two equal operators act identically on all polynomials.
+derivative.  Composition restores that canonical form by the Leibniz rule
+``d^a x^b = sum_{g <= a, b} C(a, g) (d^g x^b) d^(a-g)``, so structural equality
+of canonical forms decides operator equality, and two equal operators act
+identically on all polynomials.
 
 All the named operators of the symplectic calculus live here: the per-copy
 symplectic Dirac operators and their adjoints, the Euclidean and symplectic
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import echelon_insert, integerize
@@ -30,6 +32,7 @@ from .poly import (
     UniverseMismatch,
     VarId,
     copy_variables,
+    mono_apply,
     mono_from_dict,
     mono_mul,
     mono_sort_key,
@@ -112,37 +115,23 @@ class WeylOp(Terms):
 # ---------------------------------------------------------------------------
 
 
-def _push_deriv_past_mono(alpha: Monomial, beta: Monomial):
-    """Normal-order d^alpha x^beta as sum_gamma w_gamma x^(beta-gamma) d^(alpha-gamma).
-
-    Yields (weight, beta', alpha') with integer weight
-    prod_v C(alpha_v, g_v) C(beta_v, g_v) g_v!.
-    """
-    da = dict(alpha)
-    mb = dict(beta)
-    shared = [r for r in da if r in mb]
-    choices: List[Tuple[int, Dict[int, int], Dict[int, int]]] = [(1, mb, da)]
-    for r in shared:
-        a, b = da[r], mb[r]
-        new_choices = []
-        for weight, cur_mb, cur_da in choices:
-            for g in range(min(a, b) + 1):
-                w = weight * comb(a, g) * comb(b, g) * factorial(g)
-                nmb = dict(cur_mb)
-                nda = dict(cur_da)
-                if g:
-                    if b - g:
-                        nmb[r] = b - g
-                    else:
-                        del nmb[r]
-                    if a - g:
-                        nda[r] = a - g
-                    else:
-                        del nda[r]
-                new_choices.append((w, nmb, nda))
-        choices = new_choices
-    for weight, cur_mb, cur_da in choices:
-        yield weight, tuple(sorted(cur_mb.items())), tuple(sorted(cur_da.items()))
+def _leibniz(alpha: Monomial, beta: Monomial):
+    """Normal-order d^alpha x^beta by the Leibniz rule: one (weight, beta',
+    alpha') per gamma <= alpha, beta, where C(alpha, gamma) d^gamma x^beta =
+    weight x^beta', and alpha' = alpha - gamma.  gamma = 0 comes first, and
+    alone when alpha and beta share no variable."""
+    powers = dict(beta)
+    shared = [(r, a, min(a, powers[r])) for r, a in alpha if r in powers]
+    if not shared:
+        yield 1, beta, alpha
+        return
+    for gs in product(*(range(top + 1) for _, _, top in shared)):
+        gamma = tuple((r, g) for (r, _, _), g in zip(shared, gs) if g)
+        weight, mid_m = mono_apply(ONE, gamma, beta)
+        _, mid_d = mono_apply(ONE, gamma, alpha)
+        for (_, a, _), g in zip(shared, gs):
+            weight *= comb(a, g)
+        yield weight, mid_m, mid_d
 
 
 def compose(A: WeylOp, B: WeylOp) -> WeylOp:
@@ -152,7 +141,7 @@ def compose(A: WeylOp, B: WeylOp) -> WeylOp:
     for (ma, da), ca in A.terms.items():
         for (mb, db), cb in B.terms.items():
             c = ca * cb
-            for weight, mid_m, mid_d in _push_deriv_past_mono(da, mb):
+            for weight, mid_m, mid_d in _leibniz(da, mb):
                 key = (mono_mul(ma, mid_m), mono_mul(mid_d, db))
                 out[key] = out.get(key, 0) + c * weight
     return WeylOp(A.n, A.N, out)
@@ -169,22 +158,9 @@ def apply_op(A: WeylOp, p: Poly) -> Poly:
     out: Dict[Monomial, Fraction] = {}
     for (m, d), c in A.terms.items():
         for mono, coef in p.terms.items():
-            exps = dict(mono)
-            weight = 1
-            for r, a in d:
-                e = exps.get(r, 0)
-                if e < a:
-                    break
-                for s in range(a):
-                    weight *= e - s
-                if e == a:
-                    del exps[r]
-                else:
-                    exps[r] = e - a
-            else:  # no derivative factor annihilated the monomial
-                for r, e in m:
-                    exps[r] = exps.get(r, 0) + e
-                res = tuple(sorted(exps.items()))
+            hit = mono_apply(m, d, mono)
+            if hit is not None:
+                weight, res = hit
                 out[res] = out.get(res, 0) + c * coef * weight
     return Poly(p.n, p.N, out)
 

@@ -1,16 +1,15 @@
 """Shared test utilities: random exact polynomials and an independent
 dense-elimination oracle for kernel dimensions.
 
-The oracle deliberately shares no code with sympalg.linalg: it applies the
-operators to every basis monomial, builds a dense Fraction matrix and runs
-textbook Gauss-Jordan, so kernel dimensions are cross-checked by a second
-route.
+The oracle deliberately shares no code with sympalg's matrix assembly or
+sympalg.linalg: it differentiates every basis monomial with its own exponent
+loop, builds a dense Fraction matrix and runs textbook Gauss-Jordan, so
+kernel dimensions are cross-checked by a second route.
 """
 
 from fractions import Fraction
 
 from sympalg.poly import Poly, mono_from_dict, variables
-from sympalg.weyl import apply_op
 
 
 def random_poly(rng, n=2, N=2, terms=4, deg=3):
@@ -26,29 +25,43 @@ def random_poly(rng, n=2, N=2, terms=4, deg=3):
     return p
 
 
-def stacked_rows(ops, domain_monos, n, N):
+def stacked_rows(ops, domain_monos):
     """Sparse rows {column: coefficient} of the stacked operator matrices,
     one per (operator, image monomial)."""
-    rows = []
-    row_of_image = {}
+    rows = {}
     for j, mono in enumerate(domain_monos):
-        p = Poly(n, N, {mono: Fraction(1)})
         for oi, op in enumerate(ops):
-            for imono, c in apply_op(op, p).terms.items():
-                key = (oi, imono)
-                if key not in row_of_image:
-                    row_of_image[key] = len(rows)
-                    rows.append({})
-                rows[row_of_image[key]][j] = c
-    return rows
+            for imono, c in _act(op, mono).items():
+                if c:
+                    rows.setdefault((oi, imono), {})[j] = c
+    return list(rows.values())
 
 
-def dense_kernel_dim(ops, domain_monos, n, N):
+def _act(op, mono):
+    """op applied to one monomial, term by term: d_v^a x_v^e has the falling
+    factorial weight e (e-1) ... (e-a+1), which is 0 when a > e."""
+    out = {}
+    for (m, d), c in op.terms.items():
+        exps = dict(mono)
+        for r, a in d:
+            e = exps.get(r, 0)
+            for s in range(a):
+                c *= e - s
+            exps[r] = e - a
+        if c:
+            for r, e in m:
+                exps[r] = exps.get(r, 0) + e
+            image = mono_from_dict(exps)
+            out[image] = out.get(image, 0) + c
+    return out
+
+
+def dense_kernel_dim(ops, domain_monos):
     """Brute-force nullity of the stacked operator matrices."""
     ncols = len(domain_monos)
     rows = [
         [row.get(j, Fraction(0)) for j in range(ncols)]
-        for row in stacked_rows(ops, domain_monos, n, N)
+        for row in stacked_rows(ops, domain_monos)
     ]
     return ncols - dense_rank(rows)
 

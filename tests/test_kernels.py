@@ -35,6 +35,7 @@ from sympalg.weyl import (
     dirac_op,
     laplacian_op,
     pairing_derivs_op,
+    parse_weyl_op,
 )
 
 
@@ -76,6 +77,36 @@ class TestOperatorMatrix:
             operator_matrix(A, spec, MultiDegree((0,), 0))
         assert str(info.value).startswith("image term x1.1 of column x1.1^2 has multidegree")
 
+    def test_image_outside_num_vars(self):
+        # the image has the codomain multidegree but uses y1.2, the 4th
+        # coordinate of copy 1, which the restriction to 3 coordinates drops
+        spec = GradedSpec(2, 1, (1,), num_vars=3)
+        A = WeylOp.mult(2, 1, VarId("y", 1, 2))
+        with pytest.raises(DegreeShiftMismatch) as info:
+            operator_matrix(A, spec, MultiDegree((2,), 0))
+        assert str(info.value) == (
+            "image term x1.1*y1.2 of column x1.1 uses a coordinate outside "
+            "the first 3 of copy 1"
+        )
+
+    def test_cancelled_entries_are_not_stored(self):
+        # x d_x - y d_y: x^2 -> 2 x^2, x*y -> 0 (the two terms cancel), y^2 -> -2 y^2
+        A = parse_weyl_op("x1.1*dx1.1 - y1.1*dy1.1", 1, 1)
+        mat = operator_matrix(A, GradedSpec(1, 1, (2,)), MultiDegree((2,), 0))
+        assert mat.rows == [{0: 2}, {}, {2: -2}]
+
+    def test_columns_with_fractions_match_apply_op(self):
+        # the spinor Cartan element X_11 carries the constant term -1/2
+        n = 2
+        (X11,) = [e.op for e in build_sp2n_realization("spinor", n, 1) if e.label == "X_11"]
+        assert X11.terms[((), ())] == Fraction(-1, 2)
+        mat = operator_matrix(X11, GradedSpec(n, 1, (2,)), MultiDegree((2,), 0))
+        for j, mono in enumerate(mat.domain_basis):
+            column = {
+                mat.codomain_basis[i]: row[j] for i, row in enumerate(mat.rows) if j in row
+            }
+            assert column == apply_op(X11, Poly(n, 1, {mono: 1})).terms
+
 
 class TestJointKernel:
     def test_harmonics_p2_r3(self):
@@ -89,7 +120,7 @@ class TestJointKernel:
         spec = GradedSpec(n, 2, (2, 1))
         ops, _ = harmonic_system(n, 2)
         kb = joint_kernel(ops, spec)
-        dense = dense_kernel_dim(ops, spec.domain_monomials(), n, 2)
+        dense = dense_kernel_dim(ops, spec.domain_monomials())
         assert kb.dimension == dense
 
     def test_counterexample_288_160(self):
@@ -151,7 +182,7 @@ class TestJointKernel:
         spec = GradedSpec(n, 2, (2, 1))
         ops, _ = harmonic_system(n, 2)
         domain = spec.domain_monomials()
-        rows = stacked_rows(ops, domain, n, 2)
+        rows = stacked_rows(ops, domain)
         dim = joint_kernel(ops, spec).dimension
         rng = random.Random(7)
         for _ in range(3):
@@ -170,7 +201,7 @@ class TestJointKernel:
         ops, _ = monogenic_system(n, N)
         for t in range(z_max + 1):
             prefix = GradedSpec(n, N, degrees, z_max=t).domain_monomials()
-            expect = dense_kernel_dim(ops, prefix, n, N)
+            expect = dense_kernel_dim(ops, prefix)
             assert sum(kb.per_z_degree_dims[s] for s in range(t + 1)) == expect
 
     def test_range_guard(self):

@@ -67,6 +67,17 @@ def compose_pool(n, N):
     ]
 
 
+def random_op(rng, n, N):
+    """A seeded 3-term operator that multiplies by and differentiates in the
+    variables of ranks 0 and 1, with exponents up to 3 on each side."""
+    pieces = {}
+    for _ in range(3):
+        m = tuple((r, e) for r in (0, 1) if (e := rng.randint(0, 3)))
+        d = tuple((r, e) for r in (0, 1) if (e := rng.randint(0, 3)))
+        pieces[(m, d)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return WeylOp(n, N, pieces)
+
+
 class TestCompose:
     def test_canonical_commutation(self):
         # d_x o x = x d_x + 1
@@ -93,6 +104,16 @@ class TestCompose:
         )
         assert got == expected
 
+    def test_leibniz_weights(self):
+        got = compose(parse_weyl_op("dx1.1^2*dz1", 1, 1), parse_weyl_op("x1.1^3*z1^2", 1, 1))
+        expected = parse_weyl_op(
+            "x1.1^3*z1^2*dx1.1^2*dz1 + 2*x1.1^3*z1*dx1.1^2 + 6*x1.1^2*z1^2*dx1.1*dz1"
+            " + 12*x1.1^2*z1*dx1.1 + 6*x1.1*z1^2*dz1 + 12*x1.1*z1",
+            1,
+            1,
+        )
+        assert got == expected
+
     def test_apply_respects_compose(self):
         rng = random.Random(23)
         n, N = 2, 2
@@ -102,6 +123,13 @@ class TestCompose:
         for _ in range(20):
             A, B = rng.choice(pool), rng.choice(pool)
             p = random_poly(rng, n=n, N=N, terms=3, deg=5)
+            assert apply_op(compose(A, B), p) == apply_op(A, apply_op(B, p))
+        # operators of derivative order up to 3 in the same two variables,
+        # so normal ordering meets powers on both sides
+        n, N = 1, 1
+        for _ in range(20):
+            A, B = random_op(rng, n, N), random_op(rng, n, N)
+            p = random_poly(rng, n=n, N=N, terms=3, deg=6)
             assert apply_op(compose(A, B), p) == apply_op(A, apply_op(B, p))
 
 
