@@ -60,7 +60,10 @@ def _load_poly(path: str, n: int, N: int) -> Poly:
         text = fh.read()
     stripped = text.strip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except RecursionError as exc:
+            raise InputError("JSON input is nested too deeply") from exc
         if isinstance(data, dict):
             data = data.get("poly")
             if data is None:
@@ -98,6 +101,8 @@ def cmd_kernel(args) -> int:
         "degrees": degrees,
         "zMax": args.zmax,
     }
+    if args.zmax is not None and args.kind != "symplectic-monogenic":
+        raise InputError(f"--zmax applies only to symplectic-monogenic, not {args.kind}")
     if args.kind == "symplectic-harmonic":
         kb = symplectic_harmonic_kernel(args.n, len(degrees), degrees)
     elif args.kind == "symplectic-monogenic":

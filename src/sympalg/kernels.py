@@ -169,8 +169,15 @@ def operator_matrix(
 ) -> OperatorMatrix:
     """Matrix of A from the domain component to the codomain component.
 
-    Raises DegreeShiftMismatch if some image leaves the codomain component.
+    Both are single multidegree components, so a domain with z_max > 0 (z
+    degrees 0..z_max) is refused with ValueError.  Raises DegreeShiftMismatch
+    if some image leaves the codomain component.
     """
+    if domain.z_max:
+        raise ValueError(
+            "operator_matrix maps between single multidegree components; "
+            f"the domain spans z degrees 0..{domain.z_max}"
+        )
     domain_basis = domain.domain_monomials()
     if not domain_basis:
         raise EmptyBasis(f"no monomials in {domain}")

@@ -1,7 +1,8 @@
 """Exact sparse nullspace computation over the rationals.
 
 Rows are dictionaries column -> coefficient.  Elimination is fraction-free in
-the division-minimizing sense: rows are scaled to integers once, updates use
+the division-minimizing sense: rows are scaled to integers once (``scale``,
+the helper that ``weyl.compose`` also uses on its operands), updates use
 integer cross-multiplication (r' = a*r - b*piv), and every row is stripped to
 content 1 afterwards, which keeps entries small without ever leaving exact
 arithmetic.  Rows are processed sparsest-first and each pivot is the smallest
@@ -23,20 +24,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, TypeVar
+from typing import Dict, List, Tuple, TypeVar
 
 K = TypeVar("K")  # a column key: an int for matrices, an operator term for lie_closure
 Row = Dict[int, Fraction]
 IntRow = Dict[int, int]
 
 
+def scale(row: Dict[K, Fraction]) -> Tuple[int, Dict[K, int]]:
+    """(d, int_row): d is the least common denominator of the entries and
+    int_row[k] = d * row[k] as an int, zero entries dropped."""
+    d = 1
+    for c in row.values():
+        d = lcm(d, c.denominator)
+    return d, {j: c.numerator * (d // c.denominator) for j, c in row.items() if c}
+
+
 def integerize(row: Dict[K, Fraction]) -> Dict[K, int]:
     """The row scaled to coprime integers (zero entries dropped)."""
-    denom = 1
-    for c in row.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    out = {j: int(c * denom) for j, c in row.items() if c != 0}
-    return _strip_content(out)
+    return _strip_content(scale(row)[1])
 
 
 def _strip_content(row: Dict[K, int]) -> Dict[K, int]:

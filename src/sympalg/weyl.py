@@ -5,7 +5,10 @@ An operator is a finite sum of terms ``coef * (multiplication monomial) *
 derivative.  Composition restores that canonical form by the Leibniz rule
 ``d^a x^b = sum_{g <= a, b} C(a, g) (d^g x^b) d^(a-g)``, so structural equality
 of canonical forms decides operator equality, and two equal operators act
-identically on all polynomials.
+identically on all polynomials.  The Leibniz loop runs on Python ints: each
+operand is scaled once to integer terms over its least common denominator, and
+each output term becomes one Fraction at the end, so coefficients stay exact
+rationals without a Fraction product per term pair.
 
 All the named operators of the symplectic calculus live here: the per-copy
 symplectic Dirac operators and their adjoints, the Euclidean and symplectic
@@ -23,7 +26,7 @@ from itertools import product
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import echelon_insert, integerize
+from .linalg import echelon_insert, integerize, scale
 from .poly import (
     ONE,
     Monomial,
@@ -135,20 +138,34 @@ def _leibniz(alpha: Monomial, beta: Monomial):
 
 
 def compose(A: WeylOp, B: WeylOp) -> WeylOp:
-    """Normal-ordered operator product A o B (A acting after B)."""
+    """Normal-ordered operator product A o B (A acting after B).
+
+    Each operand is scaled once to integer terms over its least common
+    denominator (``linalg.scale``), the Leibniz loop runs on Python ints, and
+    each output term becomes one Fraction over the product of the two
+    denominators."""
     A._check(B)
-    out: Dict[OpKey, Fraction] = {}
-    for (ma, da), ca in A.terms.items():
-        for (mb, db), cb in B.terms.items():
+    den_a, terms_a = scale(A.terms)
+    den_b, terms_b = scale(B.terms)
+    out: Dict[OpKey, int] = {}
+    for (ma, da), ca in terms_a.items():
+        for (mb, db), cb in terms_b.items():
             c = ca * cb
             for weight, mid_m, mid_d in _leibniz(da, mb):
                 key = (mono_mul(ma, mid_m), mono_mul(mid_d, db))
                 out[key] = out.get(key, 0) + c * weight
-    return WeylOp(A.n, A.N, out)
+    d = den_a * den_b
+    if d != 1:
+        out = {k: Fraction(v, d) for k, v in out.items()}
+    return WeylOp(A.n, A.N, out)  # the constructor turns int values into Fractions
 
 
 def commutator(A: WeylOp, B: WeylOp) -> WeylOp:
-    return compose(A, B) - compose(B, A)
+    """[A, B] = A o B - B o A, the two products merged into one operator."""
+    out = dict(compose(A, B).terms)
+    for key, c in compose(B, A).terms.items():
+        out[key] = out.get(key, 0) - c
+    return WeylOp(A.n, A.N, out)
 
 
 def apply_op(A: WeylOp, p: Poly) -> Poly:

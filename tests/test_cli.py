@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sympalg.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -82,6 +84,16 @@ class TestKernel:
             "--degrees", "0",
         )
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("kind", ["symplectic-harmonic", "orthogonal-harmonic"])
+    def test_zmax_refused_where_unused(self, capsys, kind):
+        code, out, err = run(
+            capsys, "kernel", "--kind", kind, "--n", "2", "--degrees", "1",
+            "--zmax", "7",
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "--zmax applies only to symplectic-monogenic" in err
 
 
 class TestVerify:
@@ -250,6 +262,13 @@ class TestProjectAndRs:
         )
         assert code == EXIT_INVALID
         assert "bad denominator" in err
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        code, _, err = run(capsys, "project", "--n", "2", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert "nested too deeply" in err
 
     def test_missing_input_exits_2(self, capsys):
         code, _, _ = run(

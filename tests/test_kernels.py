@@ -33,6 +33,7 @@ from sympalg.weyl import (
     build_sp2n_realization,
     contraction_op,
     dirac_op,
+    euler_op,
     laplacian_op,
     pairing_derivs_op,
     parse_weyl_op,
@@ -88,6 +89,14 @@ class TestOperatorMatrix:
             "image term x1.1*y1.2 of column x1.1 uses a coordinate outside "
             "the first 3 of copy 1"
         )
+
+    def test_domain_with_z_range_is_refused(self):
+        # the domain spans z degrees 0 and 1, so a degree-preserving operator
+        # has no single codomain multidegree to land in
+        spec = GradedSpec(1, 1, (1,), z_max=1)
+        for z in (0, 1):
+            with pytest.raises(ValueError, match="single multidegree components"):
+                operator_matrix(euler_op(1, 1, 1), spec, MultiDegree((1,), z))
 
     def test_cancelled_entries_are_not_stored(self):
         # x d_x - y d_y: x^2 -> 2 x^2, x*y -> 0 (the two terms cancel), y^2 -> -2 y^2
