@@ -122,14 +122,14 @@ def nullspace(rows: List[Row], ncols: int) -> List[IntRow]:
         if f in pivots:
             continue
         cols = rows_at.get(f, [])
-        # scale is the least common denominator of the entries, so the
+        # lcd is the least common denominator of the entries, so the
         # content is 1 already; only the sign of the lowest entry is left
-        scale = 1
+        lcd = 1
         for col in cols:
             a = pivots[col][col]
-            scale = lcm(scale, a // gcd(a, pivots[col][f]))
-        vec = {col: -pivots[col][f] * scale // pivots[col][col] for col in cols}
-        vec[f] = scale
+            lcd = lcm(lcd, a // gcd(a, pivots[col][f]))
+        vec = {col: -pivots[col][f] * lcd // pivots[col][col] for col in cols}
+        vec[f] = lcd
         if cols and vec[cols[0]] < 0:
             vec = {j: -v for j, v in vec.items()}
         basis.append(vec)

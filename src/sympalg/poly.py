@@ -330,9 +330,15 @@ class Terms:
         return type(self)(self.n, self.N, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction)) and type(other) is not type(self):
+        if isinstance(other, (int, Fraction)):
+            other = self.const(self.n, self.N, other)
+        elif type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) - c
+        return type(self)(self.n, self.N, out)
 
     def __rsub__(self, other):
         return (-self) + other

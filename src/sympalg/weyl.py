@@ -155,17 +155,11 @@ def compose(A: WeylOp, B: WeylOp) -> WeylOp:
                 key = (mono_mul(ma, mid_m), mono_mul(mid_d, db))
                 out[key] = out.get(key, 0) + c * weight
     d = den_a * den_b
-    if d != 1:
-        out = {k: Fraction(v, d) for k, v in out.items()}
-    return WeylOp(A.n, A.N, out)  # the constructor turns int values into Fractions
+    return WeylOp(A.n, A.N, {k: Fraction(v, d) for k, v in out.items()})
 
 
 def commutator(A: WeylOp, B: WeylOp) -> WeylOp:
-    """[A, B] = A o B - B o A, the two products merged into one operator."""
-    out = dict(compose(A, B).terms)
-    for key, c in compose(B, A).terms.items():
-        out[key] = out.get(key, 0) - c
-    return WeylOp(A.n, A.N, out)
+    return compose(A, B) - compose(B, A)
 
 
 def apply_op(A: WeylOp, p: Poly) -> Poly:
