@@ -104,7 +104,7 @@ def cmd_kernel(args) -> int:
     if args.zmax is not None and args.kind != "symplectic-monogenic":
         raise InputError(f"--zmax applies only to symplectic-monogenic, not {args.kind}")
     if args.kind == "symplectic-harmonic":
-        kb = symplectic_harmonic_kernel(args.n, len(degrees), degrees)
+        kb = symplectic_harmonic_kernel(args.n, len(degrees), degrees, args.basis)
     elif args.kind == "symplectic-monogenic":
         if args.zmax is None:
             raise InputError("symplectic-monogenic needs --zmax")

@@ -11,15 +11,29 @@ cap is a column prefix of the one at zMax: the per-z-degree dimensions are
 read off the same elimination (each kernel vector counts at the z degree of
 its free column), and they cannot change when zMax grows, which is why the
 truncationStable flag is always true.
+
+When only the dimension is wanted, the scalar harmonic system is counted by
+one dominant weight per Weyl orbit.  Its operators commute with the scalar
+sp(2n) realization, so its kernel is an sp(2n) module whose weight
+multiplicities are invariant under the Weyl group W(C_n) of signed
+permutations.  Every operator has weight 0 for the Cartan x_i d_x_i -
+y_i d_y_i, so the stacked matrix is block diagonal by the weight of its
+columns, and a block's nullity is the multiplicity of its weight.  Assembling
+the dominant blocks alone and counting each kernel vector |W.mu| times, mu the
+weight of its free column, gives the full dimension.  The spinor-valued
+monogenic system does not qualify: the sign changes act on z by a Fourier
+transform, which the zMax truncation breaks.  Neither does the orthogonal
+Laplacian, which is not weight-homogeneous in real coordinates.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import nullspace
@@ -78,6 +92,10 @@ class GradedSpec:
     allow_non_dominant: bool = False
 
     def __post_init__(self):
+        if self.n < 1 or self.N < 1:
+            raise ValueError(
+                f"need rank n >= 1 and copies N >= 1, got n={self.n}, N={self.N}"
+            )
         if len(self.degrees) != self.N:
             raise ValueError(f"{len(self.degrees)} degrees for N={self.N} copies")
         if any(d < 0 for d in self.degrees):
@@ -210,18 +228,17 @@ class KernelBasis:
 
     truncation_stable is always true (see joint_kernel); it stays in the
     report as the answer to whether raising zMax changes any per-z dimension.
+    A result computed for its dimension only (joint_kernel with basis=False)
+    holds no vectors and refuses to print a basis.
     """
 
     spec: GradedSpec
     operators: List[str]
     vectors: List[Poly]
+    dimension: int
     per_z_degree_dims: Dict[int, int]
     truncation_stable: bool
     ambient_dim: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
     def to_json(self, include_basis: bool = True) -> dict:
         data = {
@@ -233,14 +250,42 @@ class KernelBasis:
             "truncationStable": self.truncation_stable,
         }
         if include_basis:
+            if len(self.vectors) != self.dimension:
+                raise ValueError(
+                    "this kernel was computed for its dimension only; "
+                    "recompute it with basis=True to print a basis"
+                )
             data["vectors"] = [v.to_json() for v in self.vectors]
         return data
+
+
+def _weight(m: Monomial, n: int) -> Tuple[int, ...]:
+    """The sp(2n) weight of a z-free monomial in epsilon coordinates: x_{a,i}
+    counts +eps_i and y_{a,i} counts -eps_i."""
+    mu = [0] * n
+    for r, e in m:
+        mu[(r % (2 * n)) // 2] += -e if r % 2 else e
+    return tuple(mu)
+
+
+def _is_dominant(mu: Tuple[int, ...]) -> bool:
+    return mu[-1] >= 0 and all(a >= b for a, b in zip(mu, mu[1:]))
+
+
+def _orbit_size(mu: Tuple[int, ...]) -> int:
+    """|W.mu| for a dominant mu under the signed permutations: n! / prod m_k!
+    over the multiplicities m_k of its entries, times 2 per nonzero entry."""
+    size = factorial(len(mu)) << sum(1 for c in mu if c)
+    for m in Counter(mu).values():
+        size //= factorial(m)
+    return size
 
 
 def joint_kernel(
     ops: Sequence[WeylOp],
     spec: GradedSpec,
     labels: Optional[Sequence[str]] = None,
+    basis: bool = True,
 ) -> KernelBasis:
     """Exact joint kernel of the operators on the graded component.
 
@@ -252,6 +297,16 @@ def joint_kernel(
     is the dimension gained when the cap grows from t-1 to t.  For the same
     reason a prefix's rank, and with it every per-z dimension, cannot change
     when z_max grows, so truncation_stable is always true.
+
+    basis=False returns the dimension only, counted by one dominant weight
+    per Weyl orbit (see the module docstring): only the columns of dominant
+    weight mu_1 >= ... >= mu_n >= 0 are assembled and eliminated, in one
+    nullspace call, and each kernel vector counts |W.mu| times, mu the weight
+    of its free column.  It is valid only for operators that commute with the
+    scalar sp(2n) realization, such as the harmonic system, on a z-free domain
+    over all coordinates; the monogenic system (z truncation), the orthogonal
+    Laplacian (not weight-homogeneous) and every basis request keep the full
+    elimination.
     """
     ops = list(ops)
     for op in ops:
@@ -259,19 +314,31 @@ def joint_kernel(
             raise UniverseMismatch(
                 f"operator universe (n={op.n}, N={op.N}) does not match spec"
             )
+    if not basis and (spec.z_max is not None or spec.num_vars is not None):
+        raise ValueError(
+            "a dimension-only kernel counts Weyl orbits of the scalar "
+            "realization, which needs a z-free domain on all coordinates"
+        )
     spec.check_range()
     if labels is None:
         labels = [f"op{i}" for i in range(len(ops))]
     domain = spec.domain_monomials()
     if not domain:
         raise EmptyBasis(f"no monomials in {spec}")
-    rows = _assemble(ops, domain, spec.n, spec.N)
-    vecs = nullspace(list(rows.values()), len(domain))
-    vectors = [
-        Poly(spec.n, spec.N, {domain[j]: c for j, c in vec.items()}) for vec in vecs
-    ]
+    columns = domain if basis else [m for m in domain if _is_dominant(_weight(m, spec.n))]
+    rows = _assemble(ops, columns, spec.n, spec.N)
+    vecs = nullspace(list(rows.values()), len(columns))
+    if basis:
+        vectors = [
+            Poly(spec.n, spec.N, {domain[j]: c for j, c in vec.items()})
+            for vec in vecs
+        ]
+        dimension = len(vectors)
+    else:
+        vectors = []
+        dimension = sum(_orbit_size(_weight(columns[max(vec)], spec.n)) for vec in vecs)
     if spec.z_max is None:
-        per_z = {0: len(vectors)}
+        per_z = {0: dimension}
     else:
         per_z = {t: 0 for t in range(spec.z_max + 1)}
         for vec in vecs:
@@ -280,6 +347,7 @@ def joint_kernel(
         spec=spec,
         operators=list(labels),
         vectors=vectors,
+        dimension=dimension,
         per_z_degree_dims=per_z,
         truncation_stable=True,
         ambient_dim=len(domain),
@@ -323,11 +391,13 @@ def monogenic_system(n: int, N: int) -> Tuple[List[WeylOp], List[str]]:
 
 
 def symplectic_harmonic_kernel(
-    n: int, N: int, degrees: Sequence[int]
+    n: int, N: int, degrees: Sequence[int], basis: bool = True
 ) -> KernelBasis:
+    """The scalar model: the harmonic system's joint kernel on P_(degrees).
+    basis=False gives the dimension only, from the dominant weights."""
     spec = GradedSpec(n, N, tuple(degrees))
     ops, labels = harmonic_system(n, N)
-    return joint_kernel(ops, spec, labels)
+    return joint_kernel(ops, spec, labels, basis)
 
 
 def symplectic_monogenic_kernel(

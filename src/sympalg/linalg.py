@@ -100,16 +100,20 @@ def nullspace(rows: List[Row], ncols: int) -> List[IntRow]:
     for row in int_rows:
         echelon_insert(pivots, row)
     # back-substitution: make pivot rows mutually reduced, so every entry of a
-    # pivot row other than its pivot lies in a free column
-    order = sorted(pivots)
-    for col in reversed(order):
+    # pivot row other than its pivot lies in a free column.  Pivots are taken
+    # from the largest down, and each is already reduced when it is used, so
+    # a combination removes one pivot column and adds only free ones: the
+    # pivot rows that meet each pivot column are known before the first step.
+    meets: Dict[int, List[int]] = {}
+    for col2, row in pivots.items():
+        for j in row:
+            if j != col2 and j in pivots:
+                meets.setdefault(j, []).append(col2)
+    for col in sorted(meets, reverse=True):
         piv = pivots[col]
-        for col2 in order:
-            if col2 >= col:
-                break
-            upper = pivots[col2]
-            if col in upper:
-                pivots[col2] = _combine(upper, piv, col)
+        for col2 in meets[col]:
+            pivots[col2] = _combine(pivots[col2], piv, col)
+    order = sorted(pivots)
     # column f of the reduced rows: v[f] = 1, v[col] = -piv[f] / piv[col];
     # rows_at[f] lists, ascending, the pivot columns whose rows meet f
     rows_at: Dict[int, List[int]] = {}

@@ -277,25 +277,24 @@ def rs_calibrate(
         raise EmptyBasis(
             f"truncated ker D_s,u is empty at k={k}, n={n}, zMax={z_max}"
         )
-    # D_s,u(rs_apply(f, c)) = D_s,u D_s,x f + (2/c) D_s,u X_s,u D_s,u D_s,x f
-    # is linear in 1/c, so the two candidate-independent pieces are shared
+    # D_s,u(rs_apply(f, c)) = du_g + (2/c) du_corr with two candidate-
+    # independent pieces, so each basis vector is decided once: it passes
+    # every c when both pieces vanish, exactly c = -2/lam when du_g = lam
+    # du_corr with lam != 0, and no c otherwise
     dsx = dirac_op(n, 2, 1)
     xsu = dirac_adjoint_op(n, 2, 2)
-    pieces: List[Tuple[str, Poly, Poly]] = []
+    roots: List[Tuple[str, Optional[Fraction]]] = []
     for ell, vectors in sorted(bases.items()):
         for i, f in enumerate(vectors):
             du_g = apply_op(dsu, apply_op(dsx, f))
             du_corr = apply_op(dsu, apply_op(xsu, du_g))
-            pieces.append((f"x-degree {ell}, basis vector {i}", du_g, du_corr))
+            if du_g or du_corr:
+                roots.append((f"x-degree {ell}, basis vector {i}", _root(du_g, du_corr)))
 
     working: List[Fraction] = []
     failures: Dict[str, List[str]] = {}
     for candidate in candidates:
-        bad = [
-            label
-            for label, du_g, du_corr in pieces
-            if not (du_g + du_corr * (Fraction(2) / candidate)).is_zero()
-        ]
+        bad = [label for label, root in roots if root != candidate]
         if bad:
             failures[str(candidate)] = bad
         else:
@@ -313,3 +312,15 @@ def rs_calibrate(
         default_denominator_works=stated in working,
         failures=failures,
     )
+
+
+def _root(g: Poly, corr: Poly) -> Optional[Fraction]:
+    """The only c with g + (2/c) corr = 0, when g = lam corr with lam != 0;
+    None when no c works (g and corr are not both zero)."""
+    if not g or g.terms.keys() != corr.terms.keys():
+        return None
+    m, c = next(iter(corr.terms.items()))
+    lam = g.terms[m] / c
+    if any(v != lam * corr.terms[key] for key, v in g.terms.items()):
+        return None
+    return -2 / lam

@@ -1,5 +1,5 @@
 """Shared test utilities: random exact polynomials and an independent
-dense-elimination oracle for kernel dimensions.
+dense-elimination oracle for kernel dimensions and kernel vectors.
 
 The oracle deliberately shares no code with sympalg's matrix assembly or
 sympalg.linalg: it differentiates every basis monomial with its own exponent
@@ -8,6 +8,7 @@ kernel dimensions are cross-checked by a second route.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from sympalg.poly import Poly, mono_from_dict, variables
 
@@ -67,10 +68,37 @@ def dense_kernel_dim(ops, domain_monos):
 
 
 def dense_rank(rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    return len(_rref(rows, len(rows[0]) if rows else 0))
+
+
+def dense_nullspace(rows, ncols):
+    """Kernel vectors of the dense matrix read off its reduced row echelon
+    form, one per free column f: v[f] = 1, v[pivot] = -R[pivot row][f].
+    Each is scaled to coprime integers, positive at its lowest entry, as a
+    dict with ascending keys."""
+    reduced = _rref(rows, ncols)
+    pivot_cols = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    out = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = {c: -r[f] for c, r in zip(pivot_cols, reduced) if r[f]}
+        vec[f] = Fraction(1)
+        d = 1
+        for c in vec.values():
+            d = lcm(d, c.denominator)
+        ints = {j: int(vec[j] * d) for j in sorted(vec)}
+        g = 0
+        for v in ints.values():
+            g = gcd(g, v)
+        sign = 1 if ints[min(ints)] > 0 else -1
+        out.append({j: sign * v // g for j, v in ints.items()})
+    return out
+
+
+def _rref(rows, ncols):
+    """Textbook Gauss-Jordan: the nonzero rows of the reduced echelon form."""
+    rows = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     for col in range(ncols):
         pivot = None
@@ -88,4 +116,4 @@ def dense_rank(rows):
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]

@@ -109,16 +109,17 @@ def test_criterion_03_scalar_model_grid():
     ok = True
     for n in (2, 3, 4):
         for l1, l2 in dominant_pairs(4):
-            kb = symplectic_harmonic_kernel(n, 2, (l1, l2))
             expect = weyl_dim(Weight.from_partition([l1, l2], n))
-            if kb.dimension != expect:
-                ok = False
+            for basis in (True, False):
+                kb = symplectic_harmonic_kernel(n, 2, (l1, l2), basis)
+                if kb.dimension != expect:
+                    ok = False
             checked += 1
     _report(
         3,
         ok,
         f"dim H^s_(l1,l2) = weyl_dim on {checked} grid points "
-        "(l1+l2 <= 4, n in {2,3,4}, N=2), exact",
+        "(l1+l2 <= 4, n in {2,3,4}, N=2), exact, with and without the basis",
     )
 
 

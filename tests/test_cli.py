@@ -85,6 +85,26 @@ class TestKernel:
         )
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_rank_below_one_exits_2(self, capsys, n):
+        code, out, err = run(
+            capsys, "kernel", "--kind", "symplectic-harmonic", "--n", n,
+            "--degrees", "1",
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert f"need rank n >= 1 and copies N >= 1, got n={n}, N=1" in err
+        assert "stable range" not in err
+
+    def test_basis_flag_on_symplectic_harmonic(self, capsys):
+        # the full elimination with --basis, the dominant weights without it
+        argv = ("kernel", "--kind", "symplectic-harmonic", "--n", "3", "--degrees", "2,1")
+        _, out, _ = run(capsys, *argv)
+        _, full, _ = run(capsys, *argv, "--basis")
+        data, full = json.loads(out), json.loads(full)
+        assert len(full.pop("vectors")) == full["kernelDim"] == 64
+        assert data == full
+
     @pytest.mark.parametrize("kind", ["symplectic-harmonic", "orthogonal-harmonic"])
     def test_zmax_refused_where_unused(self, capsys, kind):
         code, out, err = run(

@@ -7,7 +7,8 @@ from math import gcd
 
 import pytest
 
-from helpers import dense_kernel_dim, dense_rank, stacked_rows
+from helpers import dense_kernel_dim, dense_nullspace, dense_rank, stacked_rows
+from sympalg import kernels
 from sympalg.kernels import (
     DegreeShiftMismatch,
     GradedSpec,
@@ -31,6 +32,7 @@ from sympalg.weyl import (
     WeylOp,
     apply_op,
     build_sp2n_realization,
+    commutator,
     contraction_op,
     dirac_op,
     euler_op,
@@ -146,18 +148,20 @@ class TestJointKernel:
             for op in ops:
                 assert apply_op(op, v).is_zero()
 
-    def test_scalar_model_small_grid(self):
+    @pytest.mark.parametrize("basis", [True, False])
+    def test_scalar_model_small_grid(self, basis):
         # dim H^s = weyl_dim on a small slice (the full grid runs in acceptance)
         for n in (2, 3):
             for degrees in ((1, 0), (1, 1), (2, 1)):
-                kb = symplectic_harmonic_kernel(n, 2, degrees)
+                kb = symplectic_harmonic_kernel(n, 2, degrees, basis)
                 assert kb.dimension == weyl_dim(Weight.from_partition(degrees, n))
 
-    def test_single_copy_degenerates_to_full_component(self):
+    @pytest.mark.parametrize("basis", [True, False])
+    def test_single_copy_degenerates_to_full_component(self, basis):
         # N=1 has no simplicial operators: P_k itself is the model
         for n in (2, 3):
             for k in (0, 2, 3):
-                kb = symplectic_harmonic_kernel(n, 1, (k,))
+                kb = symplectic_harmonic_kernel(n, 1, (k,), basis)
                 assert kb.dimension == kb.ambient_dim
                 assert kb.dimension == weyl_dim(Weight.from_partition([k], n))
 
@@ -228,6 +232,68 @@ class TestJointKernel:
         assert kb.truncation_stable
         assert sum(kb.per_z_degree_dims.values()) == kb.dimension
 
+    @pytest.mark.parametrize("n,N", [(0, 1), (1, 0), (-1, 1)])
+    def test_rank_and_copies_at_least_one(self, n, N):
+        with pytest.raises(ValueError, match=f"n={n}, N={N}"):
+            GradedSpec(n, N, (1,) * max(N, 0))
+
+
+class TestDominantWeightCount:
+    """joint_kernel(basis=False): one dominant weight per Weyl orbit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_harmonic_system_commutes_with_scalar_realization(self, n):
+        # the premise of the orbit count: the kernel is an sp(2n) module
+        for N in range(1, n + 1):
+            ops, labels = harmonic_system(n, N)
+            for elem in build_sp2n_realization("scalar", n, N):
+                for op, label in zip(ops, labels):
+                    assert not commutator(op, elem.op), (N, label, elem.label)
+
+    @pytest.mark.parametrize(
+        "n,degrees",
+        [
+            (1, (3,)), (2, (2,)), (3, (2,)),  # N=1: the empty system
+            (2, (1, 1)), (2, (2, 1)), (3, (2, 2)), (3, (3, 1)), (4, (2, 2)),
+            (3, (1, 1, 1)), (3, (2, 1, 1)),
+        ],
+    )
+    def test_dimension_only_matches_full_kernel(self, n, degrees):
+        N = len(degrees)
+        spec = GradedSpec(n, N, degrees)
+        ops, labels = harmonic_system(n, N)
+        full = joint_kernel(ops, spec, labels)
+        fast = joint_kernel(ops, spec, labels, basis=False)
+        assert fast.dimension == full.dimension
+        assert fast.dimension == weyl_dim(Weight.from_partition(degrees, n))
+        assert fast.to_json(include_basis=False) == full.to_json(include_basis=False)
+        assert fast.vectors == []
+
+    def test_dimension_only_refuses_a_basis(self):
+        kb = symplectic_harmonic_kernel(2, 2, (1, 1), basis=False)
+        assert kb.dimension == 5  # the 5-dimensional module of sp(4) at (1,1)
+        with pytest.raises(ValueError, match="dimension only"):
+            kb.to_json(include_basis=True)
+
+    def test_one_elimination_on_dominant_columns(self, monkeypatch):
+        calls = []
+
+        def spy(rows, ncols):
+            calls.append(ncols)
+            return nullspace(rows, ncols)
+
+        monkeypatch.setattr(kernels, "nullspace", spy)
+        kb = symplectic_harmonic_kernel(4, 2, (2, 2), basis=False)
+        assert calls == [98]
+        assert (kb.ambient_dim, kb.dimension) == (1296, 308)
+
+    @pytest.mark.parametrize(
+        "spec", [GradedSpec(1, 1, (1,), z_max=1), GradedSpec(2, 1, (2,), num_vars=3)]
+    )
+    def test_dimension_only_needs_a_scalar_domain(self, spec):
+        with pytest.raises(ValueError, match="z-free domain"):
+            joint_kernel([], spec, basis=False)
+
 
 def random_sparse_rows(rng, nrows, ncols):
     rows = []
@@ -267,6 +333,33 @@ class TestNullspace:
                 assert vec[min(vec)] > 0
                 assert gcd(*vec.values()) == 1
                 assert all(max(other) not in vec for other in vecs if other is not vec)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_block_diagonal_vectors_match_dense_oracle(self, shuffle):
+        # many blocks, many pivots: the back-substitution meets every pivot
+        # column, and the reduced echelon form is unique, so the vectors agree
+        # exactly with those of a textbook Gauss-Jordan
+        rng = random.Random(14)
+        rows, ncols = [], 0
+        for _ in range(12):
+            width = rng.randint(3, 8)
+            for row in random_sparse_rows(rng, rng.randint(1, width), width):
+                rows.append({ncols + j: c for j, c in row.items()})
+            ncols += width
+        if shuffle:  # interleave the blocks, as weight blocks are
+            perm = list(range(ncols))
+            rng.shuffle(perm)
+            rows = [{perm[j]: c for j, c in row.items()} for row in rows]
+        dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+        assert nullspace(rows, ncols) == dense_nullspace(dense, ncols)
+
+    def test_harmonic_vectors_match_dense_oracle(self):
+        n, N = 2, 2
+        domain = GradedSpec(n, N, (2, 1)).domain_monomials()
+        rows = stacked_rows(harmonic_system(n, N)[0], domain)
+        ncols = len(domain)
+        dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+        assert nullspace(rows, ncols) == dense_nullspace(dense, ncols)
 
     def test_echelon_insert_against_dense_rank(self):
         # True exactly when a row raises the rank of the rows before it, so

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import random_poly
 from sympalg.kernels import EmptyBasis, GradedSpec, joint_kernel
 from sympalg.poly import MultiDegree, Poly, monomial_basis, parse_poly
 from sympalg.transvector import (
@@ -15,6 +16,7 @@ from sympalg.transvector import (
     extremal_project,
     h_eigenvalue,
     rs_apply,
+    _root,
     rs_calibrate,
     transvector_project_dsx,
 )
@@ -209,6 +211,41 @@ class TestRaritaSchwinger:
         for f in vectors:
             image = rs_apply(f, k, n, Fraction(2 * (k + n - 1)))
             assert apply_op(dsu, image).is_zero()
+
+    def test_decided_pieces_match_direct_evaluation(self):
+        # each basis vector is decided once; evaluating D_s,u(rs_apply(f, c))
+        # for every candidate gives the same verdicts, labels and order
+        k, n, z_max = 1, 2, 3
+        candidates = [Fraction(c) for c in (5, 4, -2, Fraction(1, 3), 6)]
+        rep = rs_calibrate(k, n, z_max, candidates)
+        dsu = dirac_op(n, 2, 2)
+        failures = {}
+        for c in candidates:
+            bad = [
+                f"x-degree {ell}, basis vector {i}"
+                for ell in (1, 2)
+                for i, f in enumerate(kernel_vectors(n, ell, k, z_max))
+                if apply_op(dsu, rs_apply(f, k, n, c))
+            ]
+            if bad:
+                failures[str(c)] = bad
+        assert rep.failures == failures
+        assert rep.working_denominators == [c for c in candidates if str(c) not in failures]
+
+    def test_root_of_a_piece(self):
+        # g + (2/c) corr vanishes exactly at the returned c, and nowhere when
+        # None is returned
+        rng = random.Random(5)
+        n = 2
+        for _ in range(200):
+            corr = random_poly(rng, n, 2)
+            lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            g = corr * lam if rng.random() < 0.6 else random_poly(rng, n, 2)
+            if not (g or corr):
+                continue
+            root = _root(g, corr)
+            for c in [Fraction(1), Fraction(-2), Fraction(2, 3)] + ([root] if root else []):
+                assert (g + corr * (Fraction(2) / c)).is_zero() == (c == root)
 
     def test_k0_every_candidate_passes(self):
         rep = rs_calibrate(0, 2, 2, candidates=[Fraction(7), Fraction(1, 3)])
