@@ -24,8 +24,6 @@ from .weyl import (
     RealizationElement,
     WeylOp,
     apply_op,
-    build_named,
-    build_named_from_json,
     build_sp2n_realization,
     commutator,
     compose,
@@ -58,7 +56,6 @@ from .kernels import (
     fischer_layer_dims,
     hwv_verify,
     joint_kernel,
-    operator_matrix,
     orthogonal_harmonic_kernel,
     poly_space_dim,
     symplectic_harmonic_kernel,

@@ -44,11 +44,8 @@ from .poly import (
     UniverseMismatch,
     VarId,
     copy_variables,
-    mono_multidegree,
-    mono_str,
     mono_z_degree,
     monomial_basis,
-    var_names,
 )
 from .roots import Weight
 from .weyl import (
@@ -63,10 +60,6 @@ from .weyl import (
     laplacian_op,
     pairing_derivs_op,
 )
-
-
-class DegreeShiftMismatch(ValueError):
-    """Operator image leaves the requested codomain component."""
 
 
 class EmptyBasis(ValueError):
@@ -147,87 +140,11 @@ class GradedSpec:
 
 
 @dataclass
-class OperatorMatrix:
-    """Matrix of an operator between two graded components, row-major sparse."""
-
-    rows: List[Dict[int, Fraction]]
-    domain_basis: List[Monomial]
-    codomain_basis: List[Monomial]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.codomain_basis), len(self.domain_basis))
-
-    def dense(self) -> List[List[Fraction]]:
-        ncols = len(self.domain_basis)
-        return [
-            [row.get(j, Fraction(0)) for j in range(ncols)] for row in self.rows
-        ]
-
-
-def _assemble(
-    ops: Sequence[WeylOp], domain: Sequence[Monomial], n: int, N: int
-) -> Dict[Tuple[int, Monomial], Dict[int, Fraction]]:
-    """Stacked sparse matrix of the operators on the domain monomials.
-
-    One row {column: coefficient} per (operator index, image monomial), in
-    order of first appearance.
-    """
-    rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
-    for j, mono in enumerate(domain):
-        p = Poly(n, N, {mono: Fraction(1)})
-        for oi, op in enumerate(ops):
-            for imono, c in apply_op(op, p).terms.items():
-                rows.setdefault((oi, imono), {})[j] = c
-    return rows
-
-
-def operator_matrix(
-    A: WeylOp, domain: GradedSpec, codomain_degree: MultiDegree
-) -> OperatorMatrix:
-    """Matrix of A from the domain component to the codomain component.
-
-    Both are single multidegree components, so a domain with z_max > 0 (z
-    degrees 0..z_max) is refused with ValueError.  Raises DegreeShiftMismatch
-    if some image leaves the codomain component.
-    """
-    if domain.z_max:
-        raise ValueError(
-            "operator_matrix maps between single multidegree components; "
-            f"the domain spans z degrees 0..{domain.z_max}"
-        )
-    domain_basis = domain.domain_monomials()
-    if not domain_basis:
-        raise EmptyBasis(f"no monomials in {domain}")
-    codomain_basis = monomial_basis(
-        A.n, A.N, codomain_degree, num_vars=domain.num_vars
-    )
-    index = {m: i for i, m in enumerate(codomain_basis)}
-    rows: List[Dict[int, Fraction]] = [dict() for _ in codomain_basis]
-    for (_, imono), row in _assemble([A], domain_basis, A.n, A.N).items():
-        i = index.get(imono)
-        if i is None:
-            names = var_names(A.n, A.N)
-            degree = mono_multidegree(imono, A.n, A.N)
-            reason = (  # at the codomain degree, only num_vars leaves imono out
-                f"has multidegree {degree}, not {codomain_degree}"
-                if degree != codomain_degree
-                else f"uses a coordinate outside the first {domain.num_vars} of copy 1"
-            )
-            raise DegreeShiftMismatch(
-                f"image term {mono_str(imono, names)} of column "
-                f"{mono_str(domain_basis[next(iter(row))], names)} {reason}"
-            )
-        rows[i] = row
-    return OperatorMatrix(rows, domain_basis, codomain_basis)
-
-
-@dataclass
 class KernelBasis:
     """Exact basis of a joint kernel restricted to a graded component.
 
-    truncation_stable is always true (see joint_kernel); it stays in the
-    report as the answer to whether raising zMax changes any per-z dimension.
+    Its report prints truncationStable as true, always (see joint_kernel): it
+    answers whether raising zMax changes any per-z dimension.
     A result computed for its dimension only (joint_kernel with basis=False)
     holds no vectors and refuses to print a basis.
     """
@@ -237,7 +154,6 @@ class KernelBasis:
     vectors: List[Poly]
     dimension: int
     per_z_degree_dims: Dict[int, int]
-    truncation_stable: bool
     ambient_dim: int
 
     def to_json(self, include_basis: bool = True) -> dict:
@@ -247,7 +163,7 @@ class KernelBasis:
             "ambientDim": self.ambient_dim,
             "kernelDim": self.dimension,
             "perZDegreeDims": {str(k): v for k, v in sorted(self.per_z_degree_dims.items())},
-            "truncationStable": self.truncation_stable,
+            "truncationStable": True,
         }
         if include_basis:
             if len(self.vectors) != self.dimension:
@@ -296,7 +212,11 @@ def joint_kernel(
     column (their free column) lies in a z block <= t.  per_z_degree_dims[t]
     is the dimension gained when the cap grows from t-1 to t.  For the same
     reason a prefix's rank, and with it every per-z dimension, cannot change
-    when z_max grows, so truncation_stable is always true.
+    when z_max grows, so the report's truncationStable is always true.
+
+    The stacked matrix has one row {column: coefficient} per (operator index,
+    image monomial), in order of first appearance; each column is one
+    apply_op call per operator on its domain monomial.
 
     basis=False returns the dimension only, counted by one dominant weight
     per Weyl orbit (see the module docstring): only the columns of dominant
@@ -326,7 +246,12 @@ def joint_kernel(
     if not domain:
         raise EmptyBasis(f"no monomials in {spec}")
     columns = domain if basis else [m for m in domain if _is_dominant(_weight(m, spec.n))]
-    rows = _assemble(ops, columns, spec.n, spec.N)
+    rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
+    for j, mono in enumerate(columns):
+        p = Poly(spec.n, spec.N, {mono: Fraction(1)})
+        for oi, op in enumerate(ops):
+            for imono, c in apply_op(op, p).terms.items():
+                rows.setdefault((oi, imono), {})[j] = c
     vecs = nullspace(list(rows.values()), len(columns))
     if basis:
         vectors = [
@@ -349,7 +274,6 @@ def joint_kernel(
         vectors=vectors,
         dimension=dimension,
         per_z_degree_dims=per_z,
-        truncation_stable=True,
         ambient_dim=len(domain),
     )
 

@@ -231,13 +231,6 @@ class MultiDegree:
         return len(self.per_copy)
 
 
-def mono_multidegree(m: Monomial, n: int, N: int) -> MultiDegree:
-    blocks = [0] * (N + 1)
-    for r, e in m:
-        blocks[r // (2 * n)] += e
-    return MultiDegree(tuple(blocks[:N]), blocks[N])
-
-
 # ---------------------------------------------------------------------------
 # The sparse-term core and polynomials
 # ---------------------------------------------------------------------------
@@ -411,42 +404,7 @@ class Poly(Terms):
             out = out * self
         return out
 
-    # -- calculus and grading -----------------------------------------------
-
-    def partial(self, v) -> "Poly":
-        """Exact formal partial derivative with respect to v."""
-        if isinstance(v, str):
-            v, _ = parse_var(v, self.n, self.N)
-        d = ((v.rank(self.n, self.N), 1),)
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            hit = mono_apply(ONE, d, m)
-            if hit is not None:
-                weight, mm = hit
-                out[mm] = out.get(mm, 0) + c * weight
-        return Poly(self.n, self.N, out)
-
-    def homogeneous_component(self, d: MultiDegree) -> "Poly":
-        """Sum of the terms of exactly multidegree d (an idempotent projection)."""
-        if d.N != self.N:
-            raise UniverseMismatch(f"multidegree has {d.N} copies, universe has {self.N}")
-        out = {
-            m: c
-            for m, c in self.terms.items()
-            if mono_multidegree(m, self.n, self.N) == d
-        }
-        return Poly(self.n, self.N, out)
-
-    def multidegree(self) -> Optional[MultiDegree]:
-        """The common multidegree of all terms, or None if mixed or zero."""
-        degs = {mono_multidegree(m, self.n, self.N) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def occurring_multidegrees(self) -> List[MultiDegree]:
-        degs = {mono_multidegree(m, self.n, self.N) for m in self.terms}
-        return sorted(degs, key=lambda d: (d.per_copy, d.z_degree))
+    # -- grading --------------------------------------------------------------
 
     def copy_degree_of_terms(self, a: int) -> Optional[int]:
         """Degree in copy a if uniform over all terms, else None."""
@@ -615,7 +573,10 @@ def parse_terms(text: str, n: int, N: int, *, allow_deriv: bool = False):
             if re.fullmatch(r"\d+(?:/\d+)?", tok):
                 if adv != 1:
                     raise PolyParseError("numeric coefficients take no exponent")
-                coef *= Fraction(tok)
+                try:
+                    coef *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise PolyParseError(f"zero denominator in {tok!r}") from None
             else:
                 var, is_deriv = parse_var(tok, n, N, allow_deriv=allow_deriv)
                 target = deriv if is_deriv else mult

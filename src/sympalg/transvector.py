@@ -14,7 +14,7 @@ and raises instead of returning wrong output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,17 +43,11 @@ class NotHomogeneous(ValueError):
 
 @dataclass(frozen=True)
 class Sl2Triple:
-    """Operators X, Y, H with [X,Y] = H, [H,X] = 2X, [H,Y] = -2Y.
-
-    ``grading_role`` describes the eigenspace decomposition on which H acts by
-    scalars (for the Dirac triple: H = -2(E_u+E_v+n) on (u,v)-homogeneous
-    polynomials).
-    """
+    """Operators X, Y, H with [X,Y] = H, [H,X] = 2X, [H,Y] = -2Y."""
 
     X: WeylOp
     Y: WeylOp
     H: WeylOp
-    grading_role: str = ""
 
     def bracket_residuals(self) -> Dict[str, WeylOp]:
         """Exact residuals of the three defining identities (empty iff valid)."""
@@ -69,18 +63,14 @@ class Sl2Triple:
             out["[H,Y]+2Y"] = r3
         return out
 
-    def validate(self):
-        res = self.bracket_residuals()
-        if res:
-            raise ValueError(f"not an sl(2) triple; failing identities: {sorted(res)}")
-
 
 def dirac_sl2_triple(n: int) -> Sl2Triple:
-    """The rational Dirac triple on copy 2 of the (n, N=2) universe."""
+    """The rational Dirac triple on copy 2 of the (n, N=2) universe; H acts
+    by the scalar -2(E_u+E_v+n) on (u,v)-homogeneous polynomials."""
     X = dirac_op(n, 2, 2)
     Y = 2 * dirac_adjoint_op(n, 2, 2)
     H = commutator(X, Y)
-    return Sl2Triple(X, Y, H, "H = -2(E_u+E_v+n) on (u,v)-homogeneous polynomials")
+    return Sl2Triple(X, Y, H)
 
 
 def h_eigenvalue(triple: Sl2Triple, p: Poly) -> Fraction:
@@ -95,18 +85,20 @@ def h_eigenvalue(triple: Sl2Triple, p: Poly) -> Fraction:
 
 @dataclass
 class ProjectorReport:
-    input: Poly
+    """The projected polynomial and the series terms it took.  A singular
+    weight raises instead of reporting, so the report's singularFailure is
+    always null."""
+
     output: Poly
     terms_used: int
-    singular_terms_skipped: List[int] = field(default_factory=list)
-    singular_failure: Optional[int] = None
+    singular_terms_skipped: List[int]
 
     def to_json(self) -> dict:
         return {
             "output": self.output.to_json(),
             "termsUsed": self.terms_used,
             "singularTermsSkipped": list(self.singular_terms_skipped),
-            "singularFailure": self.singular_failure,
+            "singularFailure": None,
         }
 
 
@@ -142,7 +134,7 @@ def extremal_project(triple: Sl2Triple, p: Poly, max_terms: int = 10000) -> Proj
         terms_used = j
     else:
         raise RuntimeError(f"projector series did not terminate in {max_terms} terms")
-    return ProjectorReport(p, out, terms_used, skipped, None)
+    return ProjectorReport(out, terms_used, skipped)
 
 
 def transvector_project_dsx(f: Poly, n: int) -> Poly:

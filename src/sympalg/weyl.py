@@ -94,13 +94,6 @@ class WeylOp(Terms):
     def _product(self, other: "WeylOp") -> "WeylOp":
         return compose(self, other)
 
-    def total_order(self) -> int:
-        """Maximal mult-degree + deriv-degree over the terms."""
-        return max(
-            (sum(e for _, e in m) + sum(e for _, e in d) for (m, d) in self.terms),
-            default=0,
-        )
-
     def to_json(self) -> List[dict]:
         names = var_names(self.n, self.N)
         return [
@@ -246,11 +239,6 @@ def r_squared_op(n: int, N: int, vars_: Optional[Sequence[VarId]] = None) -> Wey
     return _sum_terms(n, N, ((1, (v, v), ()) for v in vars_))
 
 
-def angular_momentum_op(n: int, N: int, va: VarId, vb: VarId) -> WeylOp:
-    """L_ab = a d_b - b d_a for two coordinates of the same universe."""
-    return _sum_terms(n, N, [(1, (va,), (vb,)), (-1, (vb,), (va,))])
-
-
 def pairing_vars_op(n: int, N: int, a: int, b: int) -> WeylOp:
     """<u_a, u_b>_s = sum_i (x_a.i y_b.i - y_a.i x_b.i)."""
     _check_copy(a, N)
@@ -307,41 +295,6 @@ def dirac_adjoint_op(n: int, N: int, copy: int) -> WeylOp:
         pieces.append((1, (x, z), ()))
         pieces.append((1, (y,), (z,)))
     return _sum_terms(n, N, pieces)
-
-
-_NAMED_BUILDERS = {
-    "euler": lambda n, N, copies: euler_op(n, N, copies[0]),
-    "laplacian": lambda n, N, copies: laplacian_op(n, N),
-    "r_squared": lambda n, N, copies: r_squared_op(n, N),
-    "symplectic_pairing_vars": lambda n, N, copies: pairing_vars_op(n, N, *copies),
-    "symplectic_pairing_derivs": lambda n, N, copies: pairing_derivs_op(n, N, *copies),
-    "contraction": lambda n, N, copies: contraction_op(n, N, *copies),
-    "D_s": lambda n, N, copies: dirac_op(n, N, copies[0]),
-    "X_s": lambda n, N, copies: dirac_adjoint_op(n, N, copies[0]),
-}
-
-
-def build_named(name: str, n: int, N: int, copies: Sequence[int] = (1,)) -> WeylOp:
-    """Build a named operator; see _NAMED_BUILDERS for the accepted names."""
-    try:
-        builder = _NAMED_BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown operator {name!r}; known: {sorted(_NAMED_BUILDERS)}"
-        ) from None
-    return builder(n, N, tuple(copies))
-
-
-def build_named_from_json(data: dict) -> WeylOp:
-    """Build from the named-operator JSON form {name, n, N, copies}."""
-    try:
-        name = data["name"]
-        n = int(data["n"])
-        N = int(data["N"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad named-operator JSON {data!r}") from exc
-    copies = tuple(int(c) for c in data.get("copies", (1,)))
-    return build_named(name, n, N, copies)
 
 
 def parse_weyl_op(text: str, n: int, N: int) -> WeylOp:

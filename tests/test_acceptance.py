@@ -239,7 +239,8 @@ def test_criterion_07_extremal_projector():
     X = parse_weyl_op("dx1.1", 1, 1)
     Y = parse_weyl_op("2*x1.1 - x1.1^2*dx1.1", 1, 1)
     singular_triple = Sl2Triple(X, Y, commutator(X, Y))
-    singular_triple.validate()
+    if singular_triple.bracket_residuals():
+        ok = False
     try:
         extremal_project(singular_triple, Poly.var(1, 1, "x1.1") ** 2)
         ok = False

@@ -297,6 +297,67 @@ class TestProjectAndRs:
         assert code == EXIT_INVALID
 
 
+MALFORMED_POLYS = {
+    "zero-denominator": "3/0*x1.1",
+    "signed-zero-denominator": "-1/0",
+    "open-bracket": "[",
+    "poly-not-a-list": '{"poly": 5}',
+    "float-coef": '[{"coef": 1.5}]',
+    "double-star": "x1.1 ** 2",
+    "derivative-factor": "dx1.1",
+    "index-zero": "z0",
+    "empty": "",
+}
+POLY_COMMANDS = {"project": ["project"], "rs-apply": ["rs-apply", "--k", "1"]}
+BAD_FLAGS = {
+    "project-n-zero": ["project", "--n", "0"],
+    "project-n-negative": ["project", "--n", "-1"],
+    "project-n-not-int": ["project", "--n", "x"],
+    "rs-apply-n-zero": ["rs-apply", "--k", "1", "--n", "0"],
+    "rs-apply-k-negative": ["rs-apply", "--k", "-1", "--n", "2"],
+    "rs-apply-k-zero-denominator": ["rs-apply", "--k", "-4", "--n", "2"],  # k+n+2 = 0
+    "rs-apply-k-not-int": ["rs-apply", "--k", "1.5", "--n", "2"],
+    "rs-apply-denominator-zero": ["rs-apply", "--k", "1", "--n", "2", "--denominator", "0"],
+    "rs-apply-denominator-text": ["rs-apply", "--k", "1", "--n", "2", "--denominator", "x"],
+}
+
+
+class TestMalformedInput:
+    """Malformed polynomial files and numeric flags exit 2 with one error
+    line; no exception escapes main.  argparse rejects a flag that is not a
+    number itself, with the same exit code."""
+
+    @staticmethod
+    def assert_invalid(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert "Traceback" not in err
+        assert "error: " in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("command", sorted(POLY_COMMANDS))
+    @pytest.mark.parametrize("text", MALFORMED_POLYS.values(), ids=list(MALFORMED_POLYS))
+    def test_malformed_polynomial_file(self, capsys, tmp_path, command, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        argv = POLY_COMMANDS[command] + ["--n", "2", "--input", str(path)]
+        self.assert_invalid(capsys, argv)
+
+    @pytest.mark.parametrize("command", sorted(POLY_COMMANDS))
+    def test_missing_file(self, capsys, tmp_path, command):
+        argv = POLY_COMMANDS[command] + ["--n", "2", "--input", str(tmp_path / "none.txt")]
+        self.assert_invalid(capsys, argv)
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=list(BAD_FLAGS))
+    def test_bad_numeric_flag(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.txt"
+        path.write_text("x2.1")
+        self.assert_invalid(capsys, argv + ["--input", str(path)])
+
+
 class TestOutputFile:
     def test_output_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic: ring axioms, grading, bases, parsing."""
+"""Exact polynomial arithmetic: ring axioms, derivatives, bases, parsing."""
 
 import random
 from fractions import Fraction
@@ -16,8 +16,10 @@ from sympalg.poly import (
     mono_from_dict,
     monomial_basis,
     parse_poly,
+    parse_var,
     poly_from_json,
 )
+from sympalg.weyl import WeylOp, apply_op
 
 
 from helpers import random_poly
@@ -25,6 +27,13 @@ from helpers import random_poly
 
 def v(name, n=4, N=2):
     return Poly.var(n, N, name)
+
+
+def partial(p, var):
+    """d p / d var through apply_op, the one derivative path."""
+    if isinstance(var, str):
+        var, _ = parse_var(var, p.n, p.N)
+    return apply_op(WeylOp.deriv(p.n, p.N, var), p)
 
 
 class TestArithmetic:
@@ -83,15 +92,15 @@ class TestArithmetic:
 class TestCalculus:
     def test_partial_power(self):
         p = v("x1.1") ** 3
-        assert p.partial("x1.1") == 3 * v("x1.1") ** 2
+        assert partial(p, "x1.1") == 3 * v("x1.1") ** 2
 
     def test_partial_absent_var(self):
         p = v("x1.1") * v("z2")
-        assert p.partial("z1").is_zero()
+        assert partial(p, "z1").is_zero()
 
     def test_partial_of_pairing(self):
         p = v("x1.1") * v("x2.2") - v("x1.2") * v("x2.1")
-        assert p.partial("x1.1") == v("x2.2")
+        assert partial(p, "x1.1") == v("x2.2")
 
     def test_derivation_property_random(self):
         from sympalg.poly import variables
@@ -101,36 +110,9 @@ class TestCalculus:
         for _ in range(25):
             p, q = random_poly(rng), random_poly(rng)
             var = rng.choice(vs)
-            lhs = (p * q).partial(var)
-            rhs = p.partial(var) * q + p * q.partial(var)
+            lhs = partial(p * q, var)
+            rhs = partial(p, var) * q + p * partial(q, var)
             assert lhs == rhs
-
-
-class TestGrading:
-    def test_component_picks_degree(self):
-        p = v("x1.1") + v("x1.1") ** 2
-        d1 = MultiDegree((1, 0), 0)
-        assert p.homogeneous_component(d1) == v("x1.1")
-
-    def test_projection_identity(self):
-        p = v("x1.1") * v("y2.2")
-        d = p.multidegree()
-        assert p.homogeneous_component(d) == p
-
-    def test_projection_idempotent(self):
-        rng = random.Random(3)
-        p = random_poly(rng)
-        for d in p.occurring_multidegrees():
-            c = p.homogeneous_component(d)
-            assert c.homogeneous_component(d) == c
-
-    def test_components_reassemble(self):
-        rng = random.Random(5)
-        p = random_poly(rng)
-        total = Poly.zero(p.n, p.N)
-        for d in p.occurring_multidegrees():
-            total = total + p.homogeneous_component(d)
-        assert total == p
 
 
 class TestMonomialBasis:

@@ -1,10 +1,14 @@
-"""Property tests for the exact arithmetic of composition and commutators.
+"""Property tests for exact arithmetic, text and JSON round trips, and
+elimination.
 
-Operators and polynomials are drawn over the (n, N) = (1, 1) universe, whose
-three variables x1.1, y1.1, z1 make multiplication and derivative monomials
-overlap often, so normal ordering meets powers on both sides.  Coefficients
-have denominators up to 6, which exercises the common-denominator scaling
-inside ``compose``.
+For composition and commutators, operators and polynomials are drawn over the
+(n, N) = (1, 1) universe, whose three variables x1.1, y1.1, z1 make
+multiplication and derivative monomials overlap often, so normal ordering
+meets powers on both sides.  Coefficients have denominators up to 6, which
+exercises the common-denominator scaling inside ``compose``.  The round trips
+through the printers and parsers draw universes up to (n, N) = (3, 3), so
+copy-free printing, z variables and every copy appear.  ``nullspace`` is
+compared vector for vector with the dense oracle of ``helpers``.
 """
 
 from fractions import Fraction
@@ -16,19 +20,59 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sympalg.linalg import scale  # noqa: E402
-from sympalg.poly import Poly, mono_from_dict, variables  # noqa: E402
-from sympalg.weyl import WeylOp, apply_op, commutator, compose  # noqa: E402
+from helpers import dense_nullspace  # noqa: E402
+from sympalg.linalg import nullspace, scale  # noqa: E402
+from sympalg.poly import (  # noqa: E402
+    Poly,
+    mono_from_dict,
+    parse_poly,
+    poly_from_json,
+    variables,
+)
+from sympalg.weyl import (  # noqa: E402
+    WeylOp,
+    apply_op,
+    commutator,
+    compose,
+    parse_weyl_op,
+)
+
+coefs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def monos_in(n, N, max_size=2):
+    return st.dictionaries(
+        st.integers(0, len(variables(n, N)) - 1), st.integers(1, 3), max_size=max_size
+    ).map(mono_from_dict)
+
+
+def ops_in(n, N, max_size=2):
+    keys = st.tuples(monos_in(n, N, max_size), monos_in(n, N, max_size))
+    return st.dictionaries(keys, coefs, max_size=4).map(lambda terms: WeylOp(n, N, terms))
+
+
+def polys_in(n, N, max_size=2):
+    return st.dictionaries(monos_in(n, N, max_size), coefs, max_size=4).map(
+        lambda terms: Poly(n, N, terms)
+    )
+
 
 n, N = 1, 1
-coefs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-monos = st.dictionaries(
-    st.integers(0, len(variables(n, N)) - 1), st.integers(1, 3), max_size=2
-).map(mono_from_dict)
-ops = st.dictionaries(st.tuples(monos, monos), coefs, max_size=4).map(
-    lambda terms: WeylOp(n, N, terms)
+ops = ops_in(n, N)
+polys = polys_in(n, N)
+universes = st.tuples(st.integers(1, 3), st.integers(1, 3))
+any_polys = universes.flatmap(lambda u: polys_in(*u, max_size=3))
+any_ops = universes.flatmap(lambda u: ops_in(*u, max_size=3))
+# up to 9 x 9, with empty rows and explicit zero entries
+matrices = st.integers(1, 9).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), coefs | st.just(Fraction(0))),
+            max_size=9,
+        ),
+    )
 )
-polys = st.dictionaries(monos, coefs, max_size=4).map(lambda terms: Poly(n, N, terms))
 
 # no deadline: a shared machine can stall any single example
 exact = settings(deadline=None)
@@ -62,3 +106,29 @@ def test_scale(row):
     assert set(int_row) <= set(row)
     for k, c in row.items():
         assert Fraction(int_row.get(k, 0), d) == c
+
+
+@exact
+@given(any_polys)
+def test_poly_text_round_trip(p):
+    assert parse_poly(str(p), p.n, p.N) == p
+
+
+@exact
+@given(any_polys)
+def test_poly_json_round_trip(p):
+    assert poly_from_json(p.to_json(), p.n, p.N) == p
+
+
+@exact
+@given(any_ops)
+def test_operator_text_round_trip(A):
+    assert parse_weyl_op(str(A), A.n, A.N) == A
+
+
+@exact
+@given(matrices)
+def test_nullspace_matches_dense_oracle(matrix):
+    ncols, rows = matrix
+    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+    assert nullspace(rows, ncols) == dense_nullspace(dense, ncols)
