@@ -19,7 +19,7 @@ from .kernels import (
     symplectic_harmonic_kernel,
     symplectic_monogenic_kernel,
 )
-from .poly import Poly, PolyParseError, parse_poly, poly_from_json
+from .poly import Poly, parse_poly, poly_from_json
 from .roots import NotDominant, Weight, weyl_dim
 from .suites import run_suite
 from .tensor import cartan_product, tensor_with_spinor
@@ -56,6 +56,8 @@ def _emit(report: dict, args) -> None:
 def _load_poly(path: str, n: int, N: int) -> Poly:
     """Read a polynomial file: either the text grammar or JSON
     (a term list, or an object with a "poly" key holding one)."""
+    if n < 1:
+        raise InputError(f"--n must be at least 1, got {n}")
     with open(path) as fh:
         text = fh.read()
     stripped = text.strip()
@@ -145,11 +147,8 @@ def cmd_tensor(args) -> int:
     if args.with_ != "spinor":
         raise InputError("only --with spinor is supported")
     lam = Weight.parse(args.weight, args.n)
-    try:
-        even, odd = cartan_product(lam)
-        summands = None if args.cartan_only else tensor_with_spinor(lam, args.nu)
-    except NotDominant as exc:
-        raise InputError(str(exc)) from exc
+    even, odd = cartan_product(lam)
+    summands = None if args.cartan_only else tensor_with_spinor(lam, args.nu)
     report = {
         "config": {
             "command": "tensor",
@@ -322,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, PolyParseError, NotDominant, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,16 +1,21 @@
 """Model spaces as exact joint kernels of differential operators.
 
-A GradedSpec fixes a multigraded polynomial component (degrees per
-vector-variable copy, optionally a spinor-degree cap zMax); joint_kernel
-computes the exact rational nullspace of the stacked operator matrices on
-that component with a single sparse elimination.  Operators that shift the z
-degree (Dirac type) map the truncated domain P_(degrees) (x) P_{<=zMax}(z)
-into the untruncated image span, so every reported kernel vector is a genuine
-global solution.  Columns are ordered by z degree, so the matrix at a lower
-cap is a column prefix of the one at zMax: the per-z-degree dimensions are
-read off the same elimination (each kernel vector counts at the z degree of
-its free column), and they cannot change when zMax grows, which is why the
-truncationStable flag is always true.
+A GradedSpec describes a multigraded polynomial component (degrees per
+vector-variable copy, optionally a spinor-degree cap zMax) and checks only its
+shape; joint_kernel computes the exact rational nullspace of the stacked
+operator matrices on any such component with a single sparse elimination.
+The model constructors (symplectic_harmonic_kernel,
+symplectic_monogenic_kernel, determinantal_hwv) also check the model: the
+degrees must be a dominant weight and N <= n, the stable range where the joint
+kernel is the irreducible sp(2n)-module (Howe, Trans. AMS 313, 1989).
+
+Operators that shift the z degree (Dirac type) map the truncated domain
+P_(degrees) (x) P_{<=zMax}(z) into the untruncated image span, so every
+reported kernel vector is a genuine global solution.  Columns are ordered by z
+degree, so the matrix at a lower cap is a column prefix of the one at zMax:
+the per-z-degree dimensions are read off the same elimination (each kernel
+vector counts at the z degree of its free column), and they cannot change when
+zMax grows, which is why the truncationStable flag is always true.
 
 When only the dimension is wanted, the scalar harmonic system is counted by
 one dominant weight per Weyl orbit.  Its operators commute with the scalar
@@ -28,7 +33,6 @@ Laplacian, which is not weight-homogeneous in real coordinates.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +51,7 @@ from .poly import (
     mono_z_degree,
     monomial_basis,
 )
-from .roots import Weight
+from .roots import Weight, is_dominant
 from .weyl import (
     CARTAN,
     POSITIVE,
@@ -56,9 +60,9 @@ from .weyl import (
     apply_op,
     contraction_op,
     dirac_op,
-    eigenvalue,
     laplacian_op,
     pairing_derivs_op,
+    ratio,
 )
 
 
@@ -71,9 +75,10 @@ class GradedSpec:
     """A multigraded component P_(degrees) (x) P_{<=z_max}(z) of the universe.
 
     ``num_vars`` restricts copy 1 to its first num_vars coordinates (the
-    classical R^m validation path; requires N=1).  ``allow_wide`` downgrades
-    the stable-range guard N <= n to a warning, and ``allow_non_dominant``
-    does the same for non-weakly-decreasing degrees.
+    classical R^m validation path; requires N=1).  A spec describes a
+    component, not a model: it checks only its shape, so any nonnegative
+    degrees and any N are accepted, and the model constructors check the
+    model.
     """
 
     n: int
@@ -81,8 +86,6 @@ class GradedSpec:
     degrees: Tuple[int, ...]
     z_max: Optional[int] = None
     num_vars: Optional[int] = None
-    allow_wide: bool = False
-    allow_non_dominant: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.N < 1:
@@ -95,25 +98,6 @@ class GradedSpec:
             raise ValueError("degrees must be nonnegative")
         if self.z_max is not None and self.z_max < 0:
             raise ValueError("z_max must be nonnegative")
-        if any(a < b for a, b in zip(self.degrees, self.degrees[1:])):
-            if not self.allow_non_dominant:
-                raise ValueError(
-                    f"degrees {self.degrees} are not weakly decreasing; "
-                    "pass allow_non_dominant=True to override"
-                )
-
-    def check_range(self):
-        if self.N > self.n:
-            if not self.allow_wide:
-                raise ValueError(
-                    f"N={self.N} exceeds the stable range n={self.n}; kernel "
-                    "dimensions may disagree with the Weyl dimension formula "
-                    "(pass allow_wide=True to continue anyway)"
-                )
-            warnings.warn(
-                f"N={self.N} > n={self.n}: outside the stable range, kernel "
-                "dimensions may disagree with the Weyl dimension formula"
-            )
 
     def domain_monomials(self) -> List[Monomial]:
         """Ordered monomial basis, in blocks of z degree 0..z_max."""
@@ -184,10 +168,6 @@ def _weight(m: Monomial, n: int) -> Tuple[int, ...]:
     return tuple(mu)
 
 
-def _is_dominant(mu: Tuple[int, ...]) -> bool:
-    return mu[-1] >= 0 and all(a >= b for a, b in zip(mu, mu[1:]))
-
-
 def _orbit_size(mu: Tuple[int, ...]) -> int:
     """|W.mu| for a dominant mu under the signed permutations: n! / prod m_k!
     over the multiplicities m_k of its entries, times 2 per nonzero entry."""
@@ -239,13 +219,12 @@ def joint_kernel(
             "a dimension-only kernel counts Weyl orbits of the scalar "
             "realization, which needs a z-free domain on all coordinates"
         )
-    spec.check_range()
     if labels is None:
         labels = [f"op{i}" for i in range(len(ops))]
     domain = spec.domain_monomials()
     if not domain:
         raise EmptyBasis(f"no monomials in {spec}")
-    columns = domain if basis else [m for m in domain if _is_dominant(_weight(m, spec.n))]
+    columns = domain if basis else [m for m in domain if is_dominant(_weight(m, spec.n))]
     rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
     for j, mono in enumerate(columns):
         p = Poly(spec.n, spec.N, {mono: Fraction(1)})
@@ -314,12 +293,25 @@ def monogenic_system(n: int, N: int) -> Tuple[List[WeylOp], List[str]]:
     return ops, labels
 
 
+def _model_spec(
+    n: int, N: int, degrees: Sequence[int], z_max: Optional[int] = None
+) -> GradedSpec:
+    """The component of a model, refused with ValueError unless it is one:
+    the degrees must be dominant and N within the stable range N <= n."""
+    spec = GradedSpec(n, N, tuple(degrees), z_max=z_max)
+    if N > n:
+        raise ValueError(f"N={N} exceeds the stable range n={n}")
+    if not is_dominant(spec.degrees):
+        raise ValueError(f"degrees {spec.degrees} are not weakly decreasing")
+    return spec
+
+
 def symplectic_harmonic_kernel(
     n: int, N: int, degrees: Sequence[int], basis: bool = True
 ) -> KernelBasis:
     """The scalar model: the harmonic system's joint kernel on P_(degrees).
     basis=False gives the dimension only, from the dominant weights."""
-    spec = GradedSpec(n, N, tuple(degrees))
+    spec = _model_spec(n, N, degrees)
     ops, labels = harmonic_system(n, N)
     return joint_kernel(ops, spec, labels, basis)
 
@@ -327,7 +319,7 @@ def symplectic_harmonic_kernel(
 def symplectic_monogenic_kernel(
     n: int, N: int, degrees: Sequence[int], z_max: int
 ) -> KernelBasis:
-    spec = GradedSpec(n, N, tuple(degrees), z_max=z_max)
+    spec = _model_spec(n, N, degrees, z_max)
     ops, labels = monogenic_system(n, N)
     return joint_kernel(ops, spec, labels)
 
@@ -427,9 +419,10 @@ def hwv_verify(
     eigs: List[Fraction] = []
     cartan = [e for e in realization if e.role == CARTAN]
     for elem in cartan:
-        lam = eigenvalue(elem.op, candidate)
+        image = apply_op(elem.op, candidate)
+        lam = ratio(image, candidate)
         if lam is None:
-            eigen_failures[elem.label] = apply_op(elem.op, candidate)
+            eigen_failures[elem.label] = image
         else:
             eigs.append(lam)
     weight = Weight(tuple(eigs)) if len(eigs) == len(cartan) and cartan else None
@@ -442,13 +435,7 @@ def determinantal_hwv(n: int, N: int, degrees: Sequence[int]) -> Poly:
     The highest weight vector of the scalar model; for N=2 it reduces to
     x1.1^(l1-l2) (x1.1 x2.2 - x1.2 x2.1)^l2.
     """
-    degrees = tuple(degrees)
-    if len(degrees) != N:
-        raise ValueError(f"{len(degrees)} degrees for N={N}")
-    if N > n:
-        raise ValueError(f"N={N} exceeds n={n}")
-    if any(a < b for a, b in zip(degrees, degrees[1:])) or degrees[-1] < 0:
-        raise ValueError(f"degrees {degrees} are not dominant")
+    degrees = _model_spec(n, N, degrees).degrees
     out = Poly.const(n, N, 1)
     for j in range(1, N + 1):
         power = degrees[j - 1] - (degrees[j] if j < N else 0)

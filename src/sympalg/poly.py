@@ -415,11 +415,6 @@ class Poly(Terms):
 
     # -- views ----------------------------------------------------------------
 
-    def leading(self) -> Tuple[Monomial, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.items_sorted()[0]
-
     def to_json(self) -> List[dict]:
         names = var_names(self.n, self.N)
         return [

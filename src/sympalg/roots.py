@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class NotDominant(ValueError):
@@ -71,9 +71,6 @@ class Weight:
             raise ValueError("rank mismatch")
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
@@ -81,27 +78,17 @@ class Weight:
         return {"n": self.n, "coords": [str(c) for c in self.coords]}
 
 
-def is_dominant(w: Weight, *, spinor: bool = False) -> bool:
-    """Dominance for finite-dimensional labels; ``spinor=True`` also accepts
-    a dominant integral head shifted by one of the two metaplectic tails
-    (-1/2, ..., -1/2) and (-1/2, ..., -1/2, -3/2)."""
-    c = w.coords
-    plain = (
-        all(a >= b for a, b in zip(c, c[1:]))
-        and c[-1] >= 0
-        and w.is_integral()
+def is_dominant(coords: Iterable) -> bool:
+    """True when the coordinates (a Weight, or a sequence of ints or
+    Fractions) are weakly decreasing and integral with a last entry >= 0: the
+    highest weights of the finite-dimensional irreducible sp(2n)-modules.
+    This is the one dominance test of the package."""
+    c = tuple(coords)
+    return (
+        c[-1] >= 0
+        and all(a >= b for a, b in zip(c, c[1:]))
+        and all(a.denominator == 1 for a in c)
     )
-    if plain or not spinor:
-        return plain
-    for tail in spinor_tails(w.n):
-        head = w - tail
-        if (
-            head.is_integral()
-            and all(a >= b for a, b in zip(head.coords, head.coords[1:]))
-            and head.coords[-1] >= 0
-        ):
-            return True
-    return False
 
 
 def spinor_tails(n: int) -> Tuple[Weight, Weight]:

@@ -30,6 +30,7 @@ from .weyl import (
     dirac_op,
     eigenvalue,
     pairing_derivs_op,
+    ratio,
 )
 
 
@@ -260,9 +261,7 @@ def rs_calibrate(
         domain_labels += ["<x,d_u>", "<d_x,d_u>_s"]
     bases: Dict[int, List[Poly]] = {}
     for ell in x_degrees:
-        spec = GradedSpec(
-            n, 2, (ell, k), z_max=z_max, allow_non_dominant=True, allow_wide=True
-        )
+        spec = GradedSpec(n, 2, (ell, k), z_max=z_max)
         bases[ell] = joint_kernel(domain_ops, spec, domain_labels).vectors
     total = sum(len(v) for v in bases.values())
     if total == 0:
@@ -309,10 +308,5 @@ def rs_calibrate(
 def _root(g: Poly, corr: Poly) -> Optional[Fraction]:
     """The only c with g + (2/c) corr = 0, when g = lam corr with lam != 0;
     None when no c works (g and corr are not both zero)."""
-    if not g or g.terms.keys() != corr.terms.keys():
-        return None
-    m, c = next(iter(corr.terms.items()))
-    lam = g.terms[m] / c
-    if any(v != lam * corr.terms[key] for key, v in g.terms.items()):
-        return None
-    return -2 / lam
+    lam = ratio(g, corr)
+    return -2 / lam if lam else None

@@ -169,20 +169,26 @@ def apply_op(A: WeylOp, p: Poly) -> Poly:
     return Poly(p.n, p.N, out)
 
 
+def ratio(q: Poly, p: Poly) -> Optional[Fraction]:
+    """The exact scalar c with q = c p, or None if there is none.
+
+    A zero q is 0 times any p; a nonzero q is no multiple of a zero p.
+    """
+    if not q:
+        return Fraction(0)
+    if q.terms.keys() != p.terms.keys():
+        return None
+    m0, c0 = next(iter(p.terms.items()))
+    lam = q.terms[m0] / c0
+    return lam if all(c == lam * p.terms[m] for m, c in q.terms.items()) else None
+
+
 def eigenvalue(op: WeylOp, p: Poly) -> Optional[Fraction]:
     """The exact scalar c with op(p) = c p, or None if p is no eigenvector.
 
     The zero polynomial is an eigenvector of every operator, with c = 0.
     """
-    q = apply_op(op, p)
-    if q.is_zero():
-        return Fraction(0)
-    m0, c0 = p.leading()
-    cq = q.terms.get(m0)
-    if cq is None:
-        return None
-    lam = cq / c0
-    return lam if q == p * lam else None
+    return ratio(apply_op(op, p), p)
 
 
 # ---------------------------------------------------------------------------

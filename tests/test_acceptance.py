@@ -219,7 +219,7 @@ def test_criterion_07_extremal_projector():
     rng = random.Random(2024)
     dsx = dirac_op(n, 2, 1)
     for uv in range(1, 5):
-        spec = GradedSpec(n, 2, (1, uv), z_max=2, allow_non_dominant=True)
+        spec = GradedSpec(n, 2, (1, uv), z_max=2)
         kb = joint_kernel([dirac_op(n, 2, 2)], spec, ["D_s,u"])
         for vec in kb.vectors[:6]:
             rep = extremal_project(triple, vec)
@@ -272,7 +272,7 @@ def test_criterion_08_rarita_schwinger_preservation():
         dsu = dsu_by_n.setdefault(n, dirac_op(n, 2, 2))
         denom = rep.working_denominators[0]
         for ell in rep.x_degrees:
-            spec = GradedSpec(n, 2, (ell, k), z_max=zmax, allow_non_dominant=True)
+            spec = GradedSpec(n, 2, (ell, k), z_max=zmax)
             kb = joint_kernel([dsu], spec, ["D_s,u"])
             for f in kb.vectors:
                 if not apply_op(dsu, rs_apply(f, k, n, denom)).is_zero():

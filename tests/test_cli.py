@@ -1,5 +1,6 @@
 """CLI: JSON reports, exit codes, determinism, file I/O."""
 
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,24 @@ class TestKernel:
         assert out == ""
         assert f"need rank n >= 1 and copies N >= 1, got n={n}, N=1" in err
         assert "stable range" not in err
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("symplectic-monogenic", "--n", "1", "--degrees", "1,1", "--zmax", "1"),
+             "exceeds the stable range"),
+            (("symplectic-harmonic", "--n", "3", "--degrees", "1,2"),
+             "not weakly decreasing"),
+        ],
+        ids=["wide", "increasing"],
+    )
+    def test_non_model_exits_2(self, capsys, argv, reason):
+        # a model is refused outright; no library-only override is suggested
+        code, out, err = run(capsys, "kernel", "--kind", *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert reason in err
+        assert "allow_" not in err
 
     def test_basis_flag_on_symplectic_harmonic(self, capsys):
         # the full elimination with --basis, the dominant weights without it
@@ -197,6 +216,12 @@ class TestTensor:
         assert code == EXIT_INVALID
         assert "zero denominator" in err
 
+    def test_not_dominant_exits_2(self, capsys):
+        code, out, err = run(capsys, "tensor", "--n", "2", "--weight", "1,2")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: (1, 2) is not dominant integral\n"
+
 
 class TestProjectAndRs:
     def test_project_fixes_kernel_input(self, capsys, tmp_path):
@@ -235,6 +260,16 @@ class TestProjectAndRs:
         data = json.loads(out)
         assert data["workingDenominators"] == ["4"]
         assert data["defaultDenominatorWorks"] is False
+
+    def test_rs_calibrate_outside_stable_range(self, capsys):
+        # its (ell, k) components are no models (N=2 > n=1, ell < k), which
+        # is neither refused nor warned about
+        code, out, err = run(capsys, "rs-calibrate", "--k", "1", "--n", "1", "--zmax", "2")
+        assert code == EXIT_OK
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f4b98c2d5c2a100a2c86b820714b3501481a097eeda03c128e6a97f49a7a6b58"
+        )
 
     def test_rs_calibrate_custom_candidates(self, capsys):
         code, out, _ = run(
@@ -320,6 +355,7 @@ BAD_FLAGS = {
     "rs-apply-denominator-zero": ["rs-apply", "--k", "1", "--n", "2", "--denominator", "0"],
     "rs-apply-denominator-text": ["rs-apply", "--k", "1", "--n", "2", "--denominator", "x"],
 }
+RANK_FLAGS = ["project-n-zero", "project-n-negative", "rs-apply-n-zero"]
 
 
 class TestMalformedInput:
@@ -336,7 +372,9 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == EXIT_INVALID
         assert "Traceback" not in err
-        assert "error: " in err.strip().splitlines()[-1]
+        line = err.strip().splitlines()[-1]
+        assert "error: " in line
+        return line
 
     @pytest.mark.parametrize("command", sorted(POLY_COMMANDS))
     @pytest.mark.parametrize("text", MALFORMED_POLYS.values(), ids=list(MALFORMED_POLYS))
@@ -351,11 +389,14 @@ class TestMalformedInput:
         argv = POLY_COMMANDS[command] + ["--n", "2", "--input", str(tmp_path / "none.txt")]
         self.assert_invalid(capsys, argv)
 
-    @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=list(BAD_FLAGS))
-    def test_bad_numeric_flag(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("name", list(BAD_FLAGS))
+    def test_bad_numeric_flag(self, capsys, tmp_path, name):
         path = tmp_path / "f.txt"
         path.write_text("x2.1")
-        self.assert_invalid(capsys, argv + ["--input", str(path)])
+        err = self.assert_invalid(capsys, BAD_FLAGS[name] + ["--input", str(path)])
+        if name in RANK_FLAGS:
+            # x2.1 lies outside every n < 1 universe: blame the flag, not the file
+            assert "--n" in err
 
 
 class TestOutputFile:

@@ -135,14 +135,22 @@ class TestJointKernel:
             assert sum(kb.per_z_degree_dims[s] for s in range(t + 1)) == expect
 
     def test_range_guard(self):
-        with pytest.raises(ValueError):
-            symplectic_harmonic_kernel(1, 2, (1, 1))
-        spec = GradedSpec(1, 2, (1, 1), allow_wide=True)
+        # a spec describes a component: outside the stable range it computes
+        # without a warning
         ops, labels = harmonic_system(1, 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            joint_kernel(ops, spec, labels)
-        assert any("stable range" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kb = joint_kernel(ops, GradedSpec(1, 2, (1, 1)), labels)
+        assert kb.dimension == len(kb.vectors)
+
+    @pytest.mark.parametrize("model", [symplectic_harmonic_kernel, determinantal_hwv])
+    @pytest.mark.parametrize(
+        "n,N,degrees,reason",
+        [(1, 2, (1, 1), "stable range"), (3, 2, (1, 2), "weakly decreasing")],
+    )
+    def test_model_check(self, model, n, N, degrees, reason):
+        with pytest.raises(ValueError, match=reason):
+            model(n, N, degrees)
 
     def test_truncation_stability_flag(self):
         kb = symplectic_monogenic_kernel(1, 1, (1,), z_max=3)

@@ -1,5 +1,5 @@
-"""Property tests for exact arithmetic, text and JSON round trips, and
-elimination.
+"""Property tests for exact arithmetic, scalar ratios, text and JSON round
+trips, and elimination.
 
 For composition and commutators, operators and polynomials are drawn over the
 (n, N) = (1, 1) universe, whose three variables x1.1, y1.1, z1 make
@@ -35,6 +35,7 @@ from sympalg.weyl import (  # noqa: E402
     commutator,
     compose,
     parse_weyl_op,
+    ratio,
 )
 
 coefs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -124,6 +125,21 @@ def test_poly_json_round_trip(p):
 @given(any_ops)
 def test_operator_text_round_trip(A):
     assert parse_weyl_op(str(A), A.n, A.N) == A
+
+
+@exact
+@given(polys, coefs)
+def test_ratio(p, c):
+    zero = Poly.zero(n, N)
+    assert ratio(zero, p) == 0
+    if not p:
+        return
+    assert ratio(p, zero) is None
+    assert ratio(p * c, p) == c
+    # one coefficient off: the support may match, the scalar does not
+    m, a = next(iter(p.terms.items()))
+    if len(p.terms) > 1:
+        assert ratio(p * c + Poly(n, N, {m: a}), p) is None
 
 
 @exact

@@ -81,20 +81,22 @@ class TestDominance:
         assert is_dominant(Weight.parse("2,1", 4))
         assert not is_dominant(Weight.parse("1,2", 4))
 
-    def test_spinor_flag(self):
-        k = 3
-        n = 4
-        w = Weight.of(*([k - Fraction(1, 2)] + [Fraction(-1, 2)] * (n - 1)))
-        assert not is_dominant(w)
-        assert is_dominant(w, spinor=True)
-        odd = Weight.of(
-            *([k - Fraction(1, 2)] + [Fraction(-1, 2)] * (n - 2) + [Fraction(-3, 2)])
-        )
-        assert is_dominant(odd, spinor=True)
-
-    def test_spinor_flag_rejects_junk(self):
-        assert not is_dominant(Weight.of(Fraction(1, 3), 0), spinor=True)
-        assert not is_dominant(Weight.of(Fraction(-1, 2), Fraction(1, 2)), spinor=True)
+    @pytest.mark.parametrize(
+        "coords, dominant",
+        [
+            ((2, 1, 0), True),
+            ((0,), True),
+            ((3, 3, 3), True),
+            ((1, 2), False),
+            ((1, -1), False),
+            ((Fraction(5, 2), Fraction(1, 2)), False),
+            ((Fraction(5, 2), Fraction(-1, 2)), False),
+            ((2, Fraction(1, 3)), False),
+        ],
+    )
+    def test_weight_and_tuple_agree(self, coords, dominant):
+        assert is_dominant(coords) is dominant
+        assert is_dominant(Weight.of(*coords)) is dominant
 
 
 class TestRootSystem:

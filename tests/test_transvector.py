@@ -24,7 +24,7 @@ from sympalg.weyl import apply_op, commutator, dirac_op, parse_weyl_op
 
 
 def kernel_vectors(n, x_deg, uv_deg, z_max=2):
-    spec = GradedSpec(n, 2, (x_deg, uv_deg), z_max=z_max, allow_non_dominant=True)
+    spec = GradedSpec(n, 2, (x_deg, uv_deg), z_max=z_max)
     kb = joint_kernel([dirac_op(n, 2, 2)], spec, ["D_s,u"])
     return kb.vectors
 
