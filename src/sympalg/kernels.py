@@ -47,6 +47,7 @@ from .poly import (
     Poly,
     UniverseMismatch,
     VarId,
+    check_num_vars,
     copy_variables,
     mono_z_degree,
     monomial_basis,
@@ -75,10 +76,10 @@ class GradedSpec:
     """A multigraded component P_(degrees) (x) P_{<=z_max}(z) of the universe.
 
     ``num_vars`` restricts copy 1 to its first num_vars coordinates (the
-    classical R^m validation path; requires N=1).  A spec describes a
-    component, not a model: it checks only its shape, so any nonnegative
-    degrees and any N are accepted, and the model constructors check the
-    model.
+    classical R^m validation path; requires N=1 and 1 <= num_vars <= 2n).
+    A spec describes a component, not a model: it checks only its shape, so
+    any nonnegative degrees and any N are accepted, and the model
+    constructors check the model.
     """
 
     n: int
@@ -98,6 +99,7 @@ class GradedSpec:
             raise ValueError("degrees must be nonnegative")
         if self.z_max is not None and self.z_max < 0:
             raise ValueError("z_max must be nonnegative")
+        check_num_vars(self.n, self.N, self.num_vars)
 
     def domain_monomials(self) -> List[Monomial]:
         """Ordered monomial basis, in blocks of z degree 0..z_max."""

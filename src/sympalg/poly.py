@@ -451,6 +451,15 @@ def monos_of_degree(ranks: Sequence[int], degree: int) -> List[Monomial]:
     ]
 
 
+def check_num_vars(n: int, N: int, num_vars: Optional[int]) -> None:
+    """Refuse a ``num_vars`` restriction other than 1..2n coordinates of one copy."""
+    if num_vars is not None:
+        if N != 1:
+            raise ValueError("num_vars restriction only supported for N=1")
+        if not 1 <= num_vars <= 2 * n:
+            raise ValueError(f"num_vars must lie in 1..{2*n}")
+
+
 def monomial_basis(
     n: int, N: int, d: MultiDegree, num_vars: Optional[int] = None
 ) -> List[Monomial]:
@@ -461,11 +470,7 @@ def monomial_basis(
     """
     if d.N != N:
         raise ValueError(f"multidegree has {d.N} copies, expected {N}")
-    if num_vars is not None:
-        if N != 1:
-            raise ValueError("num_vars restriction only supported for N=1")
-        if not 1 <= num_vars <= 2 * n:
-            raise ValueError(f"num_vars must lie in 1..{2*n}")
+    check_num_vars(n, N, num_vars)
     width = 2 * n
     factors: List[List[Monomial]] = []
     for a in range(N):

@@ -166,36 +166,33 @@ def suite_parafermion(N: int, n: int) -> SuiteReport:
     D = {a: dirac_op(n, N, a) for a in range(1, N + 1)}
     X = {a: dirac_adjoint_op(n, N, a) for a in range(1, N + 1)}
     rng = range(1, N + 1)
+    DX = {(a, b): commutator(D[a], X[b]) for a in rng for b in rng}
+    DD = {(a, b): commutator(D[a], D[b]) for a in rng for b in rng}
+    XX = {(a, b): commutator(X[a], X[b]) for a in rng for b in rng}
     for a in rng:
         for b in rng:
             for c in rng:
-                lhs = commutator(commutator(D[a], X[b]), X[c])
                 rep.add(
                     f"[[D{a},X{b}],X{c}] = -d({a}{c}) X{b}",
-                    lhs + _delta(a, c) * X[b],
+                    commutator(DX[a, b], X[c]) + _delta(a, c) * X[b],
                 )
-                lhs = commutator(commutator(D[a], X[b]), D[c])
                 rep.add(
                     f"[[D{a},X{b}],D{c}] = d({b}{c}) D{a}",
-                    lhs - _delta(b, c) * D[a],
+                    commutator(DX[a, b], D[c]) - _delta(b, c) * D[a],
                 )
-                lhs = commutator(commutator(D[a], D[b]), X[c])
                 rep.add(
                     f"[[D{a},D{b}],X{c}] = d({b}{c}) D{a} - d({a}{c}) D{b}",
-                    lhs - (_delta(b, c) * D[a] - _delta(a, c) * D[b]),
+                    commutator(DD[a, b], X[c])
+                    - (_delta(b, c) * D[a] - _delta(a, c) * D[b]),
                 )
-                lhs = commutator(commutator(X[a], X[b]), X[c])
-                rep.add(f"[[X{a},X{b}],X{c}] = 0", lhs)
-                rep.add(
-                    f"[[D{a},D{b}],D{c}] = 0",
-                    commutator(commutator(D[a], D[b]), D[c]),
-                )
+                rep.add(f"[[X{a},X{b}],X{c}] = 0", commutator(XX[a, b], X[c]))
+                rep.add(f"[[D{a},D{b}],D{c}] = 0", commutator(DD[a, b], D[c]))
     # Table deviations, recorded rather than patched:
     # (a) [[X_a,X_b],X_c] vanishes identically ([X_a,X_b] is a z-free
     #     multiplication operator and X_c differentiates only z), mirroring
     #     [[D_a,D_b],D_c] = 0; the tabulated 2 d(bc) X_a - 2 d(ac) X_b fails.
     if N >= 2:
-        xxx = commutator(commutator(X[1], X[2]), X[1])
+        xxx = commutator(XX[1, 2], X[1])
         rep.note(
             "tabulated [[X_a,X_b],X_c] = 2d(bc)X_a - 2d(ac)X_b fails (bracket is 0)",
             xxx.is_zero() and not (xxx - (-X[2])).is_zero(),
@@ -203,7 +200,7 @@ def suite_parafermion(N: int, n: int) -> SuiteReport:
         )
     # (b) the tabulated RHS 2 d(bc) X_a of [[D_a,X_b],D_c] does not match; the
     #     computed bracket is D-type with rational coefficient 1.
-    probe = commutator(commutator(D[1], X[1]), D[1])
+    probe = commutator(DX[1, 1], D[1])
     rep.note(
         "[[D_a,X_b],D_c] right-hand side is D-type",
         probe == D[1],

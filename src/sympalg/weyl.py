@@ -417,12 +417,17 @@ def lie_closure(generators: Sequence[WeylOp], max_rounds: int = 16) -> ClosureRe
 
     ``basis`` lists the generators that are independent of the ones before
     them, in the given order, then every bracket that enlarged the span, in
-    the order found.  Each pair of basis elements is bracketed once.  A
-    generator has depth 0 and a bracket one more than the deeper element of
-    its pair; the span of the elements of depth <= d is S_d, where S_0 is the
-    span of the generators and S_{d+1} = S_d + [S_d, S_d].  ``rounds`` is the
-    number of bracketing rounds, the last of which adds nothing: one more than
-    the greatest depth.
+    the order found.  Each basis element b is bracketed only with the
+    independent generators g, as [g, b]; two generators are bracketed once
+    (the earlier one first).  That suffices: the algebra generated by G is
+    spanned by the right-normed brackets [g_1, [g_2, ..., g_k]] with every
+    g_i in G (Reutenauer, *Free Lie Algebras*, 1993), and on exit [g, V]
+    lies in the span V for every g, so by Jacobi {x : [x, V] in V} is a
+    subalgebra containing G, hence containing V: V is closed.
+
+    A generator has depth 0 and a bracket [g, b] one more than b, so depth
+    is the length of a right-normed bracket.  ``rounds`` is one more than
+    the greatest depth (the last round adds nothing).
 
     Raises ClosureNotClosed if an element would reach depth max_rounds.
     """
@@ -433,11 +438,12 @@ def lie_closure(generators: Sequence[WeylOp], max_rounds: int = 16) -> ClosureRe
         gens[0]._check(g)
     pivots: Dict[OpKey, Dict[OpKey, int]] = {}
     basis = [g for g in gens if echelon_insert(pivots, integerize(g.terms))]
+    gens = basis[:]
     depth = [0] * len(basis)
     j = 0
     while j < len(basis):  # the basis grows as the loop runs
-        for i in range(j):
-            c = commutator(basis[i], basis[j])
+        for g in gens[:j]:  # all of them once j passes the generators
+            c = commutator(g, basis[j])
             if echelon_insert(pivots, integerize(c.terms)):
                 if depth[j] + 1 >= max_rounds:
                     raise ClosureNotClosed(max_rounds, len(basis))

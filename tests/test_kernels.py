@@ -162,6 +162,19 @@ class TestJointKernel:
         with pytest.raises(ValueError, match=f"n={n}, N={N}"):
             GradedSpec(n, N, (1,) * max(N, 0))
 
+    @pytest.mark.parametrize(
+        "n,N,num_vars,reason",
+        [
+            (2, 1, 9, "1..4"),
+            (2, 1, 0, "1..4"),
+            (1, 1, 3, "1..2"),
+            (2, 2, 3, "only supported for N=1"),
+        ],
+    )
+    def test_num_vars_checked_at_construction(self, n, N, num_vars, reason):
+        with pytest.raises(ValueError, match=reason):
+            GradedSpec(n, N, (2,) * N, num_vars=num_vars)
+
 
 class TestDominantWeightCount:
     """joint_kernel(basis=False): one dominant weight per Weyl orbit."""

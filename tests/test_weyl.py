@@ -373,8 +373,9 @@ class TestClosures:
             [dirac_op(2, 2, 1), dirac_op(2, 2, 2), dirac_adjoint_op(2, 2, 1), dirac_adjoint_op(2, 2, 2)],
             [e.op for e in build_sp2n_realization("scalar", 2, 1)],
             [e.op for e in build_sp2n_realization("spinor", 2, 1)],
+            [parse_weyl_op("dx1.1", 1, 1), parse_weyl_op("x1.1^2", 1, 1)],
         ],
-        ids=["sl2", "so5", "sp4-scalar", "sp4-spinor"],
+        ids=["sl2", "so5", "sp4-scalar", "sp4-spinor", "depth2"],
     )
     def test_brackets_stay_in_span(self, gens):
         # checked with the independent dense elimination: the basis is
@@ -388,6 +389,32 @@ class TestClosures:
             for j in range(i + 1, len(basis)):
                 bracket = commutator(basis[i], basis[j])
                 assert _term_rank(basis + [bracket]) == result.dimension, (i, j)
+
+    def test_depth_two(self):
+        # [d, x^2] = 2x at depth 1, [d, 2x] = 2 at depth 2, then nothing new
+        d, x2 = parse_weyl_op("dx1.1", 1, 1), parse_weyl_op("x1.1^2", 1, 1)
+        result = lie_closure([d, x2])
+        assert result.dimension == 4
+        assert result.rounds == 3
+        assert result.basis == [d, x2, parse_weyl_op("2*x1.1", 1, 1), WeylOp.identity(1, 1, 2)]
+
+    def test_brackets_only_with_generators(self, monkeypatch):
+        # bracketing every pair of the 21 basis elements would make 210
+        import sympalg.weyl as weyl
+
+        gens = []
+        for a in range(1, 4):
+            gens += [dirac_op(2, 3, a), dirac_adjoint_op(2, 3, a)]
+        calls = []
+
+        def spy(A, B):
+            calls.append(1)
+            return commutator(A, B)
+
+        monkeypatch.setattr(weyl, "commutator", spy)
+        result = lie_closure(gens)
+        assert result.dimension == 21
+        assert len(calls) <= len(gens) * result.dimension
 
     def test_dependent_generators_are_dropped(self):
         X = laplacian_op(1, 1) * Fraction(-1, 2)
