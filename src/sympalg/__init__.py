@@ -64,7 +64,6 @@ from .kernels import (
 from .tensor import (
     DecompSummand,
     cartan_product,
-    enumerate_T_lambda,
     tensor_with_spinor,
 )
 from .transvector import (

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from .kernels import (
     orthogonal_harmonic_kernel,
@@ -148,14 +148,13 @@ def cmd_tensor(args) -> int:
         raise InputError("only --with spinor is supported")
     lam = Weight.parse(args.weight, args.n)
     even, odd = cartan_product(lam)
-    summands = None if args.cartan_only else tensor_with_spinor(lam, args.nu)
+    summands = None if args.cartan_only else tensor_with_spinor(lam)
     report = {
         "config": {
             "command": "tensor",
             "n": args.n,
             "weight": args.weight,
             "with": args.with_,
-            "nu": args.nu,
             "cartanOnly": args.cartan_only,
         },
         "cartanProduct": [even.to_json(), odd.to_json()],
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--with", dest="with_", default="spinor")
     p.add_argument("--cartan-only", action="store_true")
-    p.add_argument("--nu", choices=["epsilon", "omega"], default="epsilon")
     common(p)
     p.set_defaults(fn=cmd_tensor)
 
@@ -316,9 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value may be a negative rational such as -1/2, which argparse
+# would read as an option unless it is attached as --flag=value
+_RATIONAL_FLAGS = ("--denominator", "--candidates")
+
+
+def _attach_rational_values(argv: Sequence[str]) -> List[str]:
+    """A copy of argv with each rational flag joined to the word after it."""
+    out: List[str] = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word in _RATIONAL_FLAGS else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_rational_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

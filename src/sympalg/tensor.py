@@ -1,19 +1,33 @@
-"""Tensor decompositions with the completely pointed symplectic spinor modules.
+"""Tensor decompositions with the symplectic spinor module S = P(z).
 
-V(even tail) (x) V(lambda) and V(odd tail) (x) V(lambda) decompose
-multiplicity-free over the drop set T_lambda = {lambda - sum d_i eps_i} with
-d_i natural, sum d_i even, 0 <= d_i <= nu_i (i < n) and 0 <= d_n <= 2 nu_n + 1.
-The bound nu is not pinned down by the source statement; by default nu_i is
-read off the epsilon coordinates (nu_i = lambda_i), with an alternative
-"omega" mode (nu_i = lambda_i - lambda_{i+1}, nu_n = lambda_n) that keeps all
-summand weights weakly decreasing.  The Cartan product is the d = 0 member.
+S is the sum of the two completely pointed modules, the even and the odd
+polynomials in z, whose highest weights are even_tail = (-1/2, ..., -1/2) and
+odd_tail = even_tail - eps_n.  For a dominant integral lambda, V(lambda) (x) S
+is the sum of L(even_tail + lambda - d), one summand for each drop d with
+
+    0 <= d_i <= lambda_i - lambda_{i+1}  (i < n),   0 <= d_n <= 2 lambda_n + 1.
+
+The summand lies in the even part of S when sum d is even and in the odd part
+when it is odd.  That makes prod_{i<n} (lambda_i - lambda_{i+1} + 1) *
+(2 lambda_n + 2) summands.  The Cartan product is there once per parity:
+even_tail + lambda at d = 0 and odd_tail + lambda at d = e_n.
+
+Why the rule holds: V(lambda) (x) S is completely reducible and multiplicity
+free (Britten-Lemire), so its summands are the weights of its singular vectors,
+the vectors that every positive root of the spinor realization kills.  In the
+harmonic model of V(lambda) those form a joint kernel on
+P_(lambda) (x) P(z).  The positive roots never raise the z degree, so that
+kernel truncated at a z-degree cap is exact below the cap.  Its weights and z
+parities are the rule for every dominant lambda with n <= 3 and |lambda| <= 3,
+with n = 2 and |lambda| = 4, and with n = 4 and |lambda| <= 2; the tests keep
+that computation as a reference oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .roots import NotDominant, Weight, is_dominant, spinor_tails
 
@@ -24,97 +38,42 @@ ODD = "odd"
 @dataclass(frozen=True)
 class DecompSummand:
     weight: Weight
-    multiplicity: int
     parity: str
 
     def to_json(self) -> dict:
         return {
             "weight": self.weight.to_json(),
-            "multiplicity": self.multiplicity,
+            "multiplicity": 1,  # multiplicity free (Britten-Lemire)
             "parity": self.parity,
         }
 
 
-def _nu_bounds(lam: Weight, nu_mode: str) -> List[int]:
-    coords = [int(c) for c in lam.coords]
-    if nu_mode == "epsilon":
-        return coords
-    if nu_mode == "omega":
-        out = [coords[i] - coords[i + 1] for i in range(len(coords) - 1)]
-        out.append(coords[-1])
-        return out
-    raise ValueError(f"nu_mode must be 'epsilon' or 'omega', got {nu_mode!r}")
-
-
-def drop_vectors(lam: Weight, nu_mode: str = "epsilon") -> List[Tuple[int, ...]]:
-    """All admissible drop vectors d, in lexicographic order."""
+def drop_vectors(lam: Weight) -> List[Tuple[int, ...]]:
+    """Every drop d of the rule, in lexicographic order."""
     if not is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant integral")
-    n = lam.n
-    nu = _nu_bounds(lam, nu_mode)
-    ranges = [range(nu[i] + 1) for i in range(n - 1)]
-    ranges.append(range(2 * nu[n - 1] + 2))
-    out = []
-    for d in product(*ranges):
-        if sum(d) % 2 == 0:
-            out.append(d)
-    return out
+    c = [int(x) for x in lam.coords]
+    bounds = [a - b for a, b in zip(c, c[1:])] + [2 * c[-1] + 1]
+    return list(product(*(range(b + 1) for b in bounds)))
 
 
-def enumerate_T_lambda(lam: Weight, nu_mode: str = "epsilon") -> List[Weight]:
-    """The weights kappa = lambda - sum d_i eps_i over all admissible drops."""
+def tensor_with_spinor(lam: Weight) -> List[DecompSummand]:
+    """The summands even_tail + lambda - d of V(lambda) (x) S: the even family
+    (sum d even) first, then the odd one, each in drop order."""
+    drops = drop_vectors(lam)
+    top = spinor_tails(lam.n)[0] + lam
     return [
-        Weight(tuple(c - d for c, d in zip(lam.coords, drop)))
-        for drop in drop_vectors(lam, nu_mode)
+        DecompSummand(top - Weight(d), parity)
+        for parity, rest in ((EVEN, 0), (ODD, 1))
+        for d in drops
+        if sum(d) % 2 == rest
     ]
 
 
-def admissible_drop(lam: Weight, d: Sequence[int], nu_mode: str = "epsilon") -> bool:
-    """Check the four drop conditions for a given d (the round-trip test)."""
-    d = list(d)
-    if len(d) != lam.n:
-        return False
-    if any(x < 0 for x in d):
-        return False
-    if sum(d) % 2 != 0:
-        return False
-    nu = _nu_bounds(lam, nu_mode)
-    for i in range(lam.n - 1):
-        if d[i] > nu[i]:
-            return False
-    return d[-1] <= 2 * nu[-1] + 1
-
-
-def tensor_with_spinor(lam: Weight, nu_mode: str = "epsilon") -> List[DecompSummand]:
-    """Both families of the spinor tensor decomposition, multiplicity one each.
-
-    Summand weights are tail + kappa in epsilon coordinates; parity tags which
-    spinor summand the family comes from.
-    """
-    even_tail, odd_tail = spinor_tails(lam.n)
-    out: List[DecompSummand] = []
-    for tail, parity in ((even_tail, EVEN), (odd_tail, ODD)):
-        for kappa in enumerate_T_lambda(lam, nu_mode):
-            out.append(DecompSummand(tail + kappa, 1, parity))
-    return out
-
-
 def cartan_product(lam: Weight) -> Tuple[Weight, Weight]:
-    """The two top summands (d = 0): tail + lambda for each spinor parity."""
+    """The two top summands, tail + lambda for each spinor parity (the drops
+    d = 0 and d = e_n)."""
     if not is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant integral")
     even_tail, odd_tail = spinor_tails(lam.n)
     return even_tail + lam, odd_tail + lam
-
-
-def summand_drop(summand: DecompSummand, lam: Weight) -> Optional[Tuple[int, ...]]:
-    """Recover d from a summand (weight = tail + lambda - d), or None."""
-    even_tail, odd_tail = spinor_tails(lam.n)
-    tail = even_tail if summand.parity == EVEN else odd_tail
-    diff = (lam + tail) - summand.weight
-    d = []
-    for c in diff.coords:
-        if c.denominator != 1 or c < 0:
-            return None
-        d.append(int(c))
-    return tuple(d)

@@ -169,10 +169,11 @@ def apply_op(A: WeylOp, p: Poly) -> Poly:
     return Poly(p.n, p.N, out)
 
 
-def ratio(q: Poly, p: Poly) -> Optional[Fraction]:
+def ratio(q: Terms, p: Terms) -> Optional[Fraction]:
     """The exact scalar c with q = c p, or None if there is none.
 
-    A zero q is 0 times any p; a nonzero q is no multiple of a zero p.
+    q and p are any Terms of one kind: polynomials or operators alike.  A zero
+    q is 0 times any p; a nonzero q is no multiple of a zero p.
     """
     if not q:
         return Fraction(0)

@@ -1,16 +1,23 @@
-"""Shared test utilities: random exact polynomials and an independent
-dense-elimination oracle for kernel dimensions and kernel vectors.
+"""Shared test utilities: random exact polynomials, an independent
+dense-elimination oracle for kernel dimensions and kernel vectors, and a
+singular-vector oracle for the spinor tensor decomposition.
 
-The oracle deliberately shares no code with sympalg's matrix assembly or
+The dense oracle deliberately shares no code with sympalg's matrix assembly or
 sympalg.linalg: it differentiates every basis monomial with its own exponent
 loop, builds a dense Fraction matrix and runs textbook Gauss-Jordan, so
 kernel dimensions are cross-checked by a second route.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
-from sympalg.poly import Poly, mono_from_dict, variables
+from sympalg.kernels import GradedSpec, harmonic_system, joint_kernel
+from sympalg.poly import Poly, mono_from_dict, mono_z_degree, variables
+from sympalg.roots import Weight
+from sympalg.tensor import EVEN, ODD
+from sympalg.weyl import POSITIVE, build_sp2n_realization
 
 
 def random_poly(rng, n=2, N=2, terms=4, deg=3):
@@ -117,3 +124,53 @@ def _rref(rows, ncols):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rows[:rank]
+
+
+# every dominant lambda with n <= 3 and |lambda| <= 2, and n = 2 with
+# |lambda| = 3 (n = 3 with |lambda| = 3 is left out: (1,1,1) alone takes 5 s)
+SPINOR_TENSOR_GRID = [
+    (0,), (1,), (2,),
+    (0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (2, 1),
+    (0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0),
+]
+
+
+@lru_cache(maxsize=None)
+def spinor_singular_weights(lam):
+    """The (highest weight, family) of every singular vector of
+    V(lam) (x) P(z), as a Counter, so that comparing with it also compares
+    multiplicities.  It is cached for the tests that share a grid.
+
+    It runs sympalg's own elimination (joint_kernel), so the independent route
+    is the singular-vector computation, not the elimination: it finds the
+    summands of the spinor tensor decomposition instead of stating the rule.
+    V(lam) is the harmonic model on N copies of degrees lam, N the number of
+    nonzero rows (1 for lam = 0).  A singular vector is a joint-kernel vector
+    of the harmonic system plus the positive roots of the spinor realization;
+    the z degree is capped at lam_1 + lam_n + 3, and since the positive roots
+    never raise the z degree, that truncated kernel is exact.  A vector's
+    weight is read off its monomials: x_{a,i} counts +eps_i, y_{a,i} and z_i
+    count -eps_i, and every entry gets -1/2.  Its family is the parity of its
+    z degree.  Each vector must be homogeneous in both.
+    """
+    n = lam.n
+    degrees = tuple(int(c) for c in lam.coords if c) or (0,)
+    N = len(degrees)
+    ops, _ = harmonic_system(n, N)
+    ops += [e.op for e in build_sp2n_realization("spinor", n, N) if e.role == POSITIVE]
+    spec = GradedSpec(n, N, degrees, z_max=int(lam[0] + lam[n - 1]) + 3)
+    out = Counter()
+    for vec in joint_kernel(ops, spec).vectors:
+        found = set()
+        for mono in vec.terms:
+            mu = [Fraction(-1, 2)] * n
+            for r, e in mono:
+                if r >= 2 * n * N:  # z_i
+                    mu[r - 2 * n * N] -= e
+                else:  # x_{a,i} at an even rank, y_{a,i} at the odd one after it
+                    mu[(r % (2 * n)) // 2] += -e if r % 2 else e
+            family = ODD if mono_z_degree(mono, n, N) % 2 else EVEN
+            found.add((Weight(tuple(mu)), family))
+        assert len(found) == 1, f"inhomogeneous singular vector {vec}"
+        out[found.pop()] += 1
+    return out

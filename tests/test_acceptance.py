@@ -7,8 +7,11 @@ PASS/FAIL line (visible with `pytest -s` or in failure output).
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+
+from helpers import SPINOR_TENSOR_GRID, spinor_singular_weights
 
 from sympalg.kernels import (
     GradedSpec,
@@ -30,9 +33,7 @@ from sympalg.suites import (
 from sympalg.tensor import (
     EVEN,
     ODD,
-    admissible_drop,
     cartan_product,
-    summand_drop,
     tensor_with_spinor,
 )
 from sympalg.transvector import (
@@ -300,18 +301,24 @@ def test_criterion_09_britten_lemire_consistency():
                 want_odd = [l1 - half, l2 - Fraction(3, 2)]
             if even != Weight.of(*want_even) or odd != Weight.of(*want_odd):
                 ok = False
-            # every summand round-trips through the drop conditions, and the
-            # Cartan product appears once per parity
+            # the summand count is prod (l_i - l_{i+1} + 1) * (2 l_n + 2), and
+            # the Cartan product appears once per parity
             summands = tensor_with_spinor(lam)
-            for s in summands:
-                d = summand_drop(s, lam)
-                if d is None or not admissible_drop(lam, d):
-                    ok = False
+            c = [l1, l2] + [0] * (n - 2)
+            want = prod(a - b + 1 for a, b in zip(c, c[1:])) * (2 * c[-1] + 2)
+            if len(summands) != want:
+                ok = False
             if sum(1 for s in summands if s.weight == even and s.parity == EVEN) != 1:
                 ok = False
             if sum(1 for s in summands if s.weight == odd and s.parity == ODD) != 1:
                 ok = False
-    _report(9, ok, "Cartan products match the stated weights; all summands round-trip the drop conditions")
+    # the summands are the singular vectors of V(lambda) (x) S
+    for parts in SPINOR_TENSOR_GRID:
+        lam = Weight(parts)
+        got = Counter((s.weight, s.parity) for s in tensor_with_spinor(lam))
+        if got != spinor_singular_weights(lam):
+            ok = False
+    _report(9, ok, "Cartan products match the stated weights; summands match the singular vectors")
 
 
 def test_criterion_10_truncation_stability():

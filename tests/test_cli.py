@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -198,18 +199,34 @@ class TestTensor:
         assert "summands" not in data
 
     def test_full_decomposition(self, capsys):
+        # (l1 - l2 + 1)(l2 + 1)(l3 + 1)(2 l4 + 2) = 2 * 2 * 1 * 2 summands
         code, out, _ = run(capsys, "tensor", "--n", "4", "--weight", "2,1")
-        data = json.loads(out)
-        assert len(data["summands"]) == 12
-
-    def test_omega_nu_mode(self, capsys):
-        code, out, _ = run(
-            capsys, "tensor", "--n", "4", "--weight", "2,1", "--nu", "omega"
-        )
         assert code == EXIT_OK
         data = json.loads(out)
-        # the omega reading bounds d_1 by l1-l2, giving a smaller drop set
-        assert 0 < len(data["summands"]) < 12
+        assert len(data["summands"]) == 8
+        assert "nu" not in data["config"]
+
+    def test_nu_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tensor", "--n", "4", "--weight", "2,1", "--nu", "omega"])
+        assert exc.value.code == EXIT_INVALID
+        assert "unrecognized arguments: --nu omega" in capsys.readouterr().err
+
+    def test_rank_two_singular_vectors(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--n", "2", "--weight", "1,0")
+        assert code == EXIT_OK
+        listed = [
+            (s["weight"]["coords"], s["parity"]) for s in json.loads(out)["summands"]
+        ]
+        assert (["-1/2", "-1/2"], "odd") in listed
+        assert all(coords != ["-1/2", "-5/2"] for coords, _ in listed)
+
+    def test_large_weight_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "tensor", "--n", "6", "--weight", "6,6,6,6,6,6")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert len(json.loads(out)["summands"]) == 14
 
     def test_zero_denominator_weight_exits_2(self, capsys):
         code, _, err = run(capsys, "tensor", "--n", "2", "--weight", "1/0")
@@ -317,6 +334,26 @@ class TestProjectAndRs:
         )
         assert code == EXIT_INVALID
         assert "bad denominator" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["rs-apply", "--k", "0", "--n", "2", "--input", "f.txt"], "--denominator", "-1/2"),
+            (["rs-calibrate", "--k", "1", "--n", "2", "--zmax", "2"], "--candidates", "-1/2,3"),
+        ],
+        ids=["rs-apply", "rs-calibrate"],
+    )
+    def test_negative_rational_value(self, capsys, tmp_path, monkeypatch, argv, flag, value):
+        # argparse alone reads -1/2 as an option, not as the flag's value
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("x1.1*y1.2 + z1^2")
+        spaced = argv + [flag, value]
+        code = main(spaced)
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        assert spaced == argv + [flag, value]  # the caller's list is not rewritten
+        assert json.loads(out)["config"][flag[2:]] == value
+        assert run(capsys, *argv, f"{flag}={value}") == (code, out, err)
 
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "f.json"

@@ -46,7 +46,7 @@ def comma_lists(min_size=1):
 
 rank = ints(-1, 3)
 files = st.sampled_from(sorted(INPUTS) + ["missing.txt"])
-rationals = st.sampled_from(["0", "1", "-2", "3/2", "1/0"])
+rationals = st.sampled_from(["0", "1", "-2", "-1/2", "3/2", "1/0"])
 
 # subcommand -> (required flags, optional flags); a flag maps to the strategy
 # for its value, or to None for a switch
@@ -71,7 +71,6 @@ FLAGS = {
         {
             "--with": st.just("spinor"),
             "--cartan-only": None,
-            "--nu": st.sampled_from(["epsilon", "omega"]),
         },
     ),
     "project": ({"--n": rank, "--input": files}, {"--triple": st.just("sl2-u")}),

@@ -1,60 +1,78 @@
-"""Spinor tensor decompositions: drop sets, parities, Cartan products."""
+"""Spinor tensor decompositions: the drop rule against the singular vectors,
+parities, Cartan products."""
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from helpers import SPINOR_TENSOR_GRID, spinor_singular_weights
 from sympalg.roots import NotDominant, Weight, spinor_tails
 from sympalg.tensor import (
     EVEN,
     ODD,
-    admissible_drop,
     cartan_product,
     drop_vectors,
-    enumerate_T_lambda,
-    summand_drop,
     tensor_with_spinor,
 )
 
 
-class TestDropSet:
+class TestDropVectors:
     def test_trivial_weight(self):
-        assert enumerate_T_lambda(Weight.from_partition([], 4)) == [
-            Weight.from_partition([], 4)
-        ]
+        assert drop_vectors(Weight.from_partition([], 4)) == [(0, 0, 0, 0), (0, 0, 0, 1)]
 
-    def test_lambda_itself_is_member(self):
+    def test_bounds(self):
+        # d_i <= lambda_i - lambda_{i+1} (i < n), d_n <= 2 lambda_n + 1
+        drops = drop_vectors(Weight.parse("3,1,1", 3))
+        assert [max(d[i] for d in drops) for i in range(3)] == [2, 0, 3]
+
+    def test_lexicographic_order(self):
         lam = Weight.parse("2,1", 4)
-        assert lam in enumerate_T_lambda(lam)
-
-    def test_known_member(self):
-        # d_1 = d_2 = 1: sum even, within the bounds
-        lam = Weight.parse("2,1", 4)
-        assert Weight.parse("1", 4) in enumerate_T_lambda(lam)
-
-    def test_drops_satisfy_conditions(self):
-        lam = Weight.parse("3,1,1", 3)
-        for d in drop_vectors(lam):
-            assert admissible_drop(lam, d)
-        assert not admissible_drop(lam, (1, 0, 0))  # odd sum
-        assert not admissible_drop(lam, (4, 0, 0))  # exceeds nu_1
-
-    def test_deterministic_order(self):
-        lam = Weight.parse("2,1", 4)
-        assert drop_vectors(lam) == sorted(drop_vectors(lam))
+        drops = drop_vectors(lam)
+        assert drops == sorted(drops)
+        assert len(set(drops)) == len(drops)
 
     def test_requires_dominant(self):
         with pytest.raises(NotDominant):
-            enumerate_T_lambda(Weight.parse("1,2", 3))
-
-    def test_omega_mode_keeps_weights_decreasing(self):
-        lam = Weight.parse("2,1", 4)
-        for kappa in enumerate_T_lambda(lam, nu_mode="omega"):
-            cs = kappa.coords
-            assert all(a >= b for a, b in zip(cs, cs[1:]))
+            drop_vectors(Weight.parse("1,2", 3))
+        with pytest.raises(NotDominant):
+            tensor_with_spinor(Weight.parse("1,2", 3))
 
 
 class TestTensorWithSpinor:
+    @pytest.mark.parametrize("parts", SPINOR_TENSOR_GRID, ids=str)
+    def test_matches_singular_vectors(self, parts):
+        lam = Weight(parts)
+        got = Counter((s.weight, s.parity) for s in tensor_with_spinor(lam))
+        assert got == spinor_singular_weights(lam)
+
+    def test_smallest_rank_two_case(self):
+        # the odd (-1/2,-1/2) is a summand and (-1/2,-5/2) is not
+        half = Fraction(1, 2)
+        summands = tensor_with_spinor(Weight.parse("1,0", 2))
+        assert [(s.weight, s.parity) for s in summands] == [
+            (Weight.of(half, -half), EVEN),
+            (Weight.of(-half, Fraction(-3, 2)), EVEN),
+            (Weight.of(half, Fraction(-3, 2)), ODD),
+            (Weight.of(-half, -half), ODD),
+        ]
+
+    def test_count_and_family_order(self):
+        for text, n in (("2,1", 4), ("6,6,6,6,6,6", 6), ("3,1,1", 3)):
+            lam = Weight.parse(text, n)
+            c = [int(x) for x in lam.coords]
+            summands = tensor_with_spinor(lam)
+            assert len(summands) == prod(a - b + 1 for a, b in zip(c, c[1:])) * (2 * c[-1] + 2)
+            parities = [s.parity for s in summands]
+            assert parities == sorted(parities, key=lambda p: p == ODD)
+
+    def test_json_multiplicity_one(self):
+        # the field is gone; the report still prints the multiplicity
+        for s in tensor_with_spinor(Weight.parse("2,1", 3)):
+            assert not hasattr(s, "multiplicity")
+            assert s.to_json()["multiplicity"] == 1
+
     def test_top_summands_present(self):
         lam = Weight.parse("2,1", 4)
         summands = tensor_with_spinor(lam)
@@ -70,21 +88,6 @@ class TestTensorWithSpinor:
         even, odd = spinor_tails(3)
         assert [s.weight for s in summands] == [even, odd]
         assert [s.parity for s in summands] == [EVEN, ODD]
-
-    def test_multiplicity_one(self):
-        lam = Weight.parse("2,1", 3)
-        summands = tensor_with_spinor(lam)
-        assert all(s.multiplicity == 1 for s in summands)
-        keys = [(s.weight.coords, s.parity) for s in summands]
-        assert len(keys) == len(set(keys))
-
-    def test_round_trip_drops(self):
-        for text, n in (("2,1", 4), ("3", 2), ("2,2,1", 3)):
-            lam = Weight.parse(text, n)
-            for s in tensor_with_spinor(lam):
-                d = summand_drop(s, lam)
-                assert d is not None
-                assert admissible_drop(lam, d)
 
 
 class TestCartanProduct:
